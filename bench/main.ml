@@ -150,21 +150,14 @@ let fig1 () =
   let partition = outcome.Pipeline.partition.Partition.partition in
   Format.printf "iteration 1: check -> %s@."
     (verdict_string outcome.Pipeline.report.Realizability.verdict);
-  let check_subset formulas =
-    let _, report = Pipeline.check_formulas ~options:sym_options formulas in
-    report.Realizability.verdict = Realizability.Consistent
-  in
-  let check_partition p =
-    let _, report =
-      Pipeline.check_formulas ~options:sym_options ~partition:p
-        outcome.Pipeline.formulas
-    in
-    report.Realizability.verdict = Realizability.Consistent
-  in
   let t0 = Unix.gettimeofday () in
   let suggestion =
-    Refine.suggest ~check_subset ~check_partition ~partition
-      outcome.Pipeline.formulas
+    Refine.suggest
+      ~check_subset:(Pipeline.consistent ~options:sym_options)
+      ~check_partition:(fun partition ->
+        Pipeline.consistent ~options:sym_options ~partition
+          outcome.Pipeline.formulas)
+      ~partition outcome.Pipeline.formulas
   in
   Format.printf "iteration 2: localize + adjust (%.2fs)@."
     (Unix.gettimeofday () -. t0);
@@ -382,14 +375,11 @@ let localize_row n =
      :: List.init (n - 2) (fun k -> innocent k))
     @ [ Ltl_parse.formula "G (trigger -> !flag)" ]
   in
-  let check subset =
-    let _, report =
-      Pipeline.check_formulas ~options:explicit_options subset
-    in
-    report.Realizability.verdict = Realizability.Consistent
-  in
   let t0 = Unix.gettimeofday () in
-  match Localize.run ~check formulas with
+  match
+    Localize.run ~check:(Pipeline.consistent ~options:explicit_options)
+      formulas
+  with
   | Some result ->
     Some
       ( result.Localize.culprit,
@@ -599,19 +589,6 @@ let edit_latency_bench () =
    memoization counters accumulated while producing them.  Set
    SPECCC_BENCH_SMOKE=1 (as CI does) for a reduced quota. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let bench_json () =
   let smoke = Sys.getenv_opt "SPECCC_BENCH_SMOKE" <> None in
   let path = "BENCH_speccc.json" in
@@ -647,8 +624,9 @@ let bench_json () =
          Format.printf "table1 %-12s %8.4fs %s@." name seconds
            (verdict_string report.Realizability.verdict);
          Printf.sprintf "{\"row\":\"%s\",\"seconds\":%.4f,\"verdict\":\"%s\"}"
-           (json_escape name) seconds
-           (json_escape (verdict_string report.Realizability.verdict)))
+           (Speccc_runtime.Jsonl.escape name) seconds
+           (Speccc_runtime.Jsonl.escape
+              (verdict_string report.Realizability.verdict)))
       rows
   in
   let edit_rows = edit_latency_rows ~smoke in
@@ -664,7 +642,7 @@ let bench_json () =
          Printf.sprintf
            "{\"id\":\"%s\",\"incr_ms\":%.4f,\"cold_ms\":%.4f,\
             \"pipeline_ms\":%.4f}"
-           (json_escape id) (incr *. 1000.) (cold *. 1000.)
+           (Speccc_runtime.Jsonl.escape id) (incr *. 1000.) (cold *. 1000.)
            (pipeline *. 1000.))
       edit_rows
   in
@@ -686,7 +664,7 @@ let bench_json () =
          Printf.sprintf
            "{\"name\":\"%s\",\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
             \"size\":%d,\"capacity\":%d}"
-           (json_escape s.Speccc_cache.Cache.name)
+           (Speccc_runtime.Jsonl.escape s.Speccc_cache.Cache.name)
            s.Speccc_cache.Cache.hits s.Speccc_cache.Cache.misses
            s.Speccc_cache.Cache.evictions s.Speccc_cache.Cache.size
            s.Speccc_cache.Cache.capacity)

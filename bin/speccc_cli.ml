@@ -878,18 +878,10 @@ let localize_cmd =
     | Realizability.Consistent ->
       Format.printf "specification is consistent; nothing to localize@."
     | Realizability.Inconsistent | Realizability.Inconclusive _ ->
-      let check_subset formulas =
-        let _, report = Pipeline.check_formulas ~options formulas in
-        report.Realizability.verdict = Realizability.Consistent
-      in
-      let check_partition partition =
-        let _, report =
-          Pipeline.check_formulas ~options ~partition outcome.Pipeline.formulas
-        in
-        report.Realizability.verdict = Realizability.Consistent
-      in
       let suggestion =
-        Refine.suggest ~check_subset ~check_partition
+        Refine.suggest ~check_subset:(Pipeline.consistent ~options)
+          ~check_partition:(fun partition ->
+            Pipeline.consistent ~options ~partition outcome.Pipeline.formulas)
           ~partition:outcome.Pipeline.partition.Speccc_partition.Partition.partition
           outcome.Pipeline.formulas
       in
@@ -1199,19 +1191,10 @@ let report_cmd =
     (match outcome.Pipeline.report.Realizability.verdict with
      | Realizability.Consistent -> ()
      | Realizability.Inconsistent | Realizability.Inconclusive _ ->
-       let check_subset formulas =
-         let _, r = Pipeline.check_formulas ~options formulas in
-         r.Realizability.verdict = Realizability.Consistent
-       in
-       let check_partition p =
-         let _, r =
-           Pipeline.check_formulas ~options ~partition:p
-             outcome.Pipeline.formulas
-         in
-         r.Realizability.verdict = Realizability.Consistent
-       in
        let suggestion =
-         Refine.suggest ~check_subset ~check_partition
+         Refine.suggest ~check_subset:(Pipeline.consistent ~options)
+           ~check_partition:(fun partition ->
+             Pipeline.consistent ~options ~partition outcome.Pipeline.formulas)
            ~partition:outcome.Pipeline.partition
                .Speccc_partition.Partition.partition
            outcome.Pipeline.formulas

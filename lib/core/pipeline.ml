@@ -167,10 +167,12 @@ let lint_floor formulas (report : Realizability.report) =
         @ [ rung (Speccc_runtime.Runtime.to_string error) (Some error) ];
     }
 
-let synthesize options ?(assumptions = []) ~inputs ~outputs formulas =
+let synthesize options ?explicit_session ?(assumptions = []) ~inputs ~outputs
+    formulas =
   if not (governed options) then
     Realizability.check ~engine:options.engine ~lookahead:options.lookahead
-      ~bound:options.bound ~assumptions ~inputs ~outputs formulas
+      ~bound:options.bound ~assumptions ?explicit_session ~inputs ~outputs
+      formulas
   else
     let budget = make_budget options in
     match
@@ -207,29 +209,57 @@ let synthesize options ?(assumptions = []) ~inputs ~outputs formulas =
           ];
       }
 
-let check_formulas ?options ?partition formulas =
+type cache = {
+  parse : Translate.parse_cache;
+  engine : Bounded.session;
+  memo : Localize.memo;
+}
+
+let cache () =
+  {
+    parse = Translate.parse_cache ();
+    engine = Bounded.create_session ();
+    memo = Localize.memo ();
+  }
+
+(* The one place the incremental caches are gated: a governed run owns
+   budget slicing, snapshot slots and the memory-pressure collapse, so
+   its verdicts may depend on more than the formulas and it always
+   runs cold. *)
+let active options cache = if governed options then None else cache
+
+let engine_of cache = Option.map (fun c -> c.engine) cache
+
+let check_formulas ?options ?cache ?partition formulas =
   let options =
     match options with Some o -> o | None -> default_options ()
   in
+  let cache = active options cache in
   let partition =
     match partition with
     | Some p -> p
     | None -> (Partition.of_requirements formulas).Partition.partition
   in
   let report =
-    synthesize options ~inputs:partition.Partition.inputs
-      ~outputs:partition.Partition.outputs formulas
+    synthesize options ?explicit_session:(engine_of cache)
+      ~inputs:partition.Partition.inputs ~outputs:partition.Partition.outputs
+      formulas
   in
   (partition, report)
+
+let consistent ?cache ~options ?partition formulas =
+  let _, report = check_formulas ~options ?cache ?partition formulas in
+  report.Realizability.verdict = Realizability.Consistent
 
 (* Translation front-end shared by {!run} and {!run_document}.  With
    [options.recover] set, ungrammatical requirements are dropped with a
    located diagnostic and the rest of the document proceeds; the
    returned document lists only the surviving items so downstream
    stages stay aligned with the translation. *)
-let translate_document options document =
+let translate_document options ?parse_cache document =
   if not options.recover then
-    ( Translate.specification options.translate (Document.texts document),
+    ( Translate.specification ?parse_cache options.translate
+        (Document.texts document),
       document,
       [] )
   else
@@ -249,12 +279,16 @@ let translate_document options document =
     in
     (translation, survivors, diagnostics)
 
-let run_document ?options document =
+let run_document ?options ?cache document =
   let options =
     match options with Some o -> o | None -> default_options ()
   in
+  let cache = active options cache in
   let (translation, document, diagnostics), translation_s =
-    timed (fun () -> translate_document options document)
+    timed (fun () ->
+        translate_document options
+          ?parse_cache:(Option.map (fun c -> c.parse) cache)
+          document)
   in
   let raw_formulas =
     List.map (fun r -> r.Translate.formula) translation.Translate.requirements
@@ -303,7 +337,7 @@ let run_document ?options document =
   in
   let report, synthesis_s =
     timed (fun () ->
-        synthesize options ~assumptions
+        synthesize options ?explicit_session:(engine_of cache) ~assumptions
           ~inputs:partition.Partition.partition.Partition.inputs
           ~outputs:partition.Partition.partition.Partition.outputs guarantees)
   in
@@ -334,6 +368,16 @@ let run_document ?options document =
   }
 
 let run ?options texts = run_document ?options (Document.of_texts texts)
+
+let localize ?cache ~options outcome =
+  match outcome.report.Realizability.verdict with
+  | Realizability.Inconsistent ->
+    let cache = active options cache in
+    Localize.run
+      ?memo:(Option.map (fun c -> c.memo) cache)
+      ~check:(consistent ?cache ~options)
+      outcome.formulas
+  | Realizability.Consistent | Realizability.Inconclusive _ -> None
 
 let pp_outcome ppf outcome =
   Format.fprintf ppf "@[<v>";

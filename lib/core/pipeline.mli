@@ -1,8 +1,9 @@
 (** The SpecCC pipeline (Fig. 1): natural-language requirements are
     translated to LTL (stage 1, with semantic reasoning and time
     abstraction), partitioned into inputs/outputs, and checked for
-    consistency by LTL synthesis (stage 2).  Stage 3 — refinement — is
-    provided by {!Localize} and {!Refine}. *)
+    consistency by LTL synthesis (stage 2).  Stage 3 — refinement —
+    is {!localize} over the {!consistent} subset check; {!Refine} adds
+    partition adjustments on top. *)
 
 type options = {
   translate : Speccc_translate.Translate.config;
@@ -81,9 +82,9 @@ val abstract_times :
   Speccc_logic.Ltl.t list * Speccc_timeabs.Timeabs.solution option
 (** The time-abstraction stage on its own: collect the θ constants,
     solve for a divisor (per [options.time_budget] /
-    [options.use_smt_abstraction]) and rewrite the formulas.  Exposed
-    for {!Watch}, which re-runs translation and abstraction per edit
-    but owns its own synthesis path. *)
+    [options.use_smt_abstraction]) and rewrite the formulas — the
+    stage {!run_document} times as [abstraction_s], exposed so callers
+    can time it apart from the rest of the pipeline. *)
 
 val governed : options -> bool
 (** True when the options route synthesis through the governed ladder
@@ -91,11 +92,30 @@ val governed : options -> bool
     [deadline], [cancel], [skip_engines] or [snapshot] set, or memory
     pressure above normal. *)
 
+type cache = {
+  parse : Speccc_translate.Translate.parse_cache;
+      (** sentence parses, keyed by text *)
+  engine : Speccc_synthesis.Bounded.session;
+      (** the explicit engine's arena blocks and solo frontiers, keyed
+          by hash-consed formula id *)
+  memo : Localize.memo;
+      (** localization subset verdicts, keyed by formula-id set *)
+}
+(** Incremental state a long-lived caller (a {!Watch} session) threads
+    through every check.  Every store is content-addressed, so a
+    cached run is bit-identical to a run with a fresh cache on the
+    same input.  Keep one cache per [options] value: the memo's
+    verdicts are only valid under the options that produced them.
+    The cache is consulted only when [not (governed options)]; a
+    governed run ignores it and runs cold. *)
+
+val cache : unit -> cache
+
 val run : ?options:options -> string list -> outcome
 (** Full pipeline from requirement sentences (positional identifiers;
     equivalent to {!run_document} over {!Document.of_texts}). *)
 
-val run_document : ?options:options -> Document.t -> outcome
+val run_document : ?options:options -> ?cache:cache -> Document.t -> outcome
 (** Like {!run}, but items whose identifier marks them as environment
     assumptions ({!Document.is_assumption}) become the antecedent of
     the realizability check ([∧A → ∧G]) instead of system obligations.
@@ -106,11 +126,30 @@ val run_document : ?options:options -> Document.t -> outcome
 
 val check_formulas :
   ?options:options ->
+  ?cache:cache ->
   ?partition:Speccc_partition.Partition.t ->
   Speccc_logic.Ltl.t list ->
   Speccc_partition.Partition.t * Speccc_synthesis.Realizability.report
 (** Stage 2 only: partition (unless given) and synthesis over formulas
-    that are already in LTL.  Used by the localization loop and by
-    specifications authored directly in LTL. *)
+    that are already in LTL.  Used for specifications authored
+    directly in LTL. *)
+
+val consistent :
+  ?cache:cache ->
+  options:options ->
+  ?partition:Speccc_partition.Partition.t ->
+  Speccc_logic.Ltl.t list ->
+  bool
+(** The stage-3 subset check: {!check_formulas} (re-deriving the
+    partition for the subset unless one is given) reports
+    [Consistent].  Every localization and refinement loop decides its
+    subsets with this. *)
+
+val localize :
+  ?cache:cache -> options:options -> outcome -> Localize.result option
+(** Stage 3: when [outcome]'s verdict is [Inconsistent], locate the
+    culprit and its partners with {!Localize.run} over {!consistent};
+    [None] otherwise.  Indices count [outcome.formulas], i.e. the
+    requirements that survived translation. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -1,6 +1,4 @@
 open Speccc_logic
-open Speccc_translate
-open Speccc_partition
 open Speccc_synthesis
 
 module Verdict_lru = Speccc_cache.Cache.Make (Speccc_cache.Cache.String_key)
@@ -34,13 +32,11 @@ type counters = {
 type session = {
   options : Pipeline.options;
   mutable doc : Document.t;
-  parse : Translate.parse_cache;
-  engine : Bounded.session;
-  loc_memo : Localize.memo;
+  cache : Pipeline.cache;
   verdicts : (Pipeline.outcome * Localize.result option) Verdict_lru.t;
   mutable last_ids : int list;
       (* sorted hash-cons ids of the document's formulas at the last
-         incremental check — the invalidation baseline *)
+         check that ran the pipeline — the invalidation baseline *)
   mutable seq : int;
   mutable checks : int;
   mutable verdict_hits : int;
@@ -54,9 +50,7 @@ let create ?options doc =
   {
     options;
     doc;
-    parse = Translate.parse_cache ();
-    engine = Bounded.create_session ();
-    loc_memo = Localize.memo ();
+    cache = Pipeline.cache ();
     verdicts =
       Verdict_lru.create ~name:"watch.verdict"
         ~capacity:
@@ -118,11 +112,6 @@ let doc_key doc =
        (fun item -> item.Document.id ^ "\x1f" ^ item.Document.text)
        doc)
 
-let timed f =
-  let start = Unix.gettimeofday () in
-  let result = f () in
-  (result, Unix.gettimeofday () -. start)
-
 let cache_hits name =
   match
     List.find_opt
@@ -132,161 +121,49 @@ let cache_hits name =
   | Some s -> s.Speccc_cache.Cache.hits
   | None -> 0
 
-let ids_of doc checked =
-  match checked with
+(* Localization indices count the formulas that reached the checker;
+   with [recover], the sentences named in [diagnostics] were dropped
+   before that, so the indices map through the survivors. *)
+let ids_of doc (outcome : Pipeline.outcome) localization =
+  match localization with
   | None -> (None, [])
   | Some loc ->
-    ( Some (Document.id_at doc loc.Localize.culprit),
-      List.map (Document.id_at doc) loc.Localize.partners )
+    let dropped = List.map fst outcome.Pipeline.diagnostics in
+    let survivors =
+      List.filter (fun item -> not (List.mem item.Document.id dropped)) doc
+    in
+    ( Some (Document.id_at survivors loc.Localize.culprit),
+      List.map (Document.id_at survivors) loc.Localize.partners )
 
-(* Localization mirrors [Pipeline.check_formulas]: re-derive the
-   partition for each subset, then an ungoverned consistency check —
-   here routed through the session's engine state so subset verdicts
-   decided before an unrelated edit are reused. *)
-let check_subset session subset =
-  let analysis = Partition.of_requirements subset in
-  let report =
-    Realizability.check ~engine:session.options.Pipeline.engine
-      ~lookahead:session.options.Pipeline.lookahead
-      ~bound:session.options.Pipeline.bound ~explicit_session:session.engine
-      ~inputs:analysis.Partition.partition.Partition.inputs
-      ~outputs:analysis.Partition.partition.Partition.outputs subset
-  in
-  report.Realizability.verdict = Realizability.Consistent
-
-let localize_of session outcome =
-  match outcome.Pipeline.report.Realizability.verdict with
-  | Realizability.Inconsistent ->
-    Localize.run ~memo:session.loc_memo
-      ~check:(check_subset session)
-      outcome.Pipeline.formulas
-  | Realizability.Consistent | Realizability.Inconclusive _ -> None
-
-(* Governed, recovering or certifying sessions fall back to the full
-   pipeline per check: those paths own budget slicing, snapshot slots
-   and dropped-sentence bookkeeping that the incremental path does not
-   replicate.  Still a watch session — just without engine reuse. *)
-let fallback session =
-  let outcome = Pipeline.run_document ~options:session.options session.doc in
-  let localization =
-    match outcome.Pipeline.report.Realizability.verdict with
-    | Realizability.Inconsistent ->
-      Localize.run
-        ~check:(fun subset ->
-          let _, report =
-            Pipeline.check_formulas ~options:session.options subset
-          in
-          report.Realizability.verdict = Realizability.Consistent)
-        outcome.Pipeline.formulas
-    | _ -> None
-  in
-  ( outcome,
-    localization,
-    {
-      verdict_cached = false;
-      parse_hits = 0;
-      blocks_reused = 0;
-      solo_reused = 0;
-      invalidated = 0;
-    } )
-
-let incremental session =
-  let options = session.options in
-  let parse_hits0 = cache_hits "nlp.parse" in
-  let engine0 = Bounded.session_stats session.engine in
-  let translation, translation_s =
-    timed (fun () ->
-        Translate.specification ~parse_cache:session.parse
-          options.Pipeline.translate
-          (Document.texts session.doc))
-  in
-  let raw_formulas =
-    List.map
-      (fun r -> r.Translate.formula)
-      translation.Translate.requirements
-  in
-  let (formulas, time_solution), abstraction_s =
-    timed (fun () -> Pipeline.abstract_times options raw_formulas)
-  in
-  (* Explicit invalidation: edited-away formulas (their hash-cons ids
-     no longer appear in the document) are dropped from the localize
-     memo and the engine's block/frontier caches.  Correctness never
-     depends on this — both stores are content-addressed — it bounds
-     their growth over a long session. *)
+(* Explicit invalidation: edited-away formulas (their hash-cons ids no
+   longer appear in the document) are dropped from the localize memo
+   and the engine's block/frontier caches.  Correctness never depends
+   on this — both stores are content-addressed — it bounds their
+   growth over a long session. *)
+let prune session formulas =
   let ids = List.sort_uniq Int.compare (List.map Ltl.id formulas) in
-  let invalidated =
-    if ids = session.last_ids then 0
-    else begin
-      let retain id = List.mem id ids in
-      let dropped = Localize.prune_memo session.loc_memo ~retain in
-      Bounded.prune_session session.engine ~retain;
-      session.last_ids <- ids;
-      dropped
-    end
-  in
-  session.invalidated_total <- session.invalidated_total + invalidated;
-  let tagged = List.combine session.doc formulas in
-  let assumptions =
-    List.filter_map
-      (fun (item, formula) ->
-         if Document.is_assumption item then Some formula else None)
-      tagged
-  in
-  let guarantees =
-    List.filter_map
-      (fun (item, formula) ->
-         if Document.is_assumption item then None else Some formula)
-      tagged
-  in
-  (* Same partition construction as [Pipeline.run_document]: the
-     shape heuristic over the guarantees, assumption-only propositions
-     adopted as inputs. *)
-  let partition, partition_s =
-    timed (fun () ->
-        let analysis = Partition.of_requirements guarantees in
-        let known =
-          analysis.Partition.partition.Partition.inputs
-          @ analysis.Partition.partition.Partition.outputs
-        in
-        let extra =
-          List.concat_map Ltl.props assumptions
-          |> List.sort_uniq compare
-          |> List.filter (fun p -> not (List.mem p known))
-        in
-        {
-          analysis with
-          Partition.partition =
-            {
-              analysis.Partition.partition with
-              Partition.inputs =
-                List.sort compare
-                  (analysis.Partition.partition.Partition.inputs @ extra);
-            };
-        })
-  in
-  let report, synthesis_s =
-    timed (fun () ->
-        Realizability.check ~engine:options.Pipeline.engine
-          ~lookahead:options.Pipeline.lookahead
-          ~bound:options.Pipeline.bound ~assumptions
-          ~explicit_session:session.engine
-          ~inputs:partition.Partition.partition.Partition.inputs
-          ~outputs:partition.Partition.partition.Partition.outputs guarantees)
-  in
+  if ids = session.last_ids then 0
+  else begin
+    let retain id = List.mem id ids in
+    let dropped = Localize.prune_memo session.cache.Pipeline.memo ~retain in
+    Bounded.prune_session session.cache.Pipeline.engine ~retain;
+    session.last_ids <- ids;
+    dropped
+  end
+
+let run session =
+  let parse_hits0 = cache_hits "nlp.parse" in
+  let engine0 = Bounded.session_stats session.cache.Pipeline.engine in
   let outcome =
-    {
-      Pipeline.requirements = translation.Translate.requirements;
-      formulas;
-      time_solution;
-      partition;
-      report;
-      times = { translation_s; abstraction_s; partition_s; synthesis_s };
-      diagnostics = [];
-      certificate = None;
-    }
+    Pipeline.run_document ~options:session.options ~cache:session.cache
+      session.doc
   in
-  let localization = localize_of session outcome in
-  let engine1 = Bounded.session_stats session.engine in
+  let localization =
+    Pipeline.localize ~options:session.options ~cache:session.cache outcome
+  in
+  let invalidated = prune session outcome.Pipeline.formulas in
+  session.invalidated_total <- session.invalidated_total + invalidated;
+  let engine1 = Bounded.session_stats session.cache.Pipeline.engine in
   ( outcome,
     localization,
     {
@@ -303,7 +180,7 @@ let check session =
   session.seq <- session.seq + 1;
   session.checks <- session.checks + 1;
   let finish (outcome, localization, reuse) =
-    let culprit_id, partner_ids = ids_of session.doc localization in
+    let culprit_id, partner_ids = ids_of session.doc outcome localization in
     {
       outcome;
       localization;
@@ -314,30 +191,30 @@ let check session =
       seq = session.seq;
     }
   in
-  if
-    Pipeline.governed session.options
-    || session.options.Pipeline.recover
-    || session.options.Pipeline.certify
-  then finish (fallback session)
-  else
-    let key = doc_key session.doc in
-    match Verdict_lru.find_opt session.verdicts key with
-    | Some (outcome, localization) ->
-      session.verdict_hits <- session.verdict_hits + 1;
-      finish
-        ( outcome,
-          localization,
-          {
-            verdict_cached = true;
-            parse_hits = 0;
-            blocks_reused = 0;
-            solo_reused = 0;
-            invalidated = 0;
-          } )
-    | None ->
-      let (outcome, localization, reuse) = incremental session in
-      Verdict_lru.add session.verdicts key (outcome, localization);
-      finish (outcome, localization, reuse)
+  let key = doc_key session.doc in
+  match Verdict_lru.find_opt session.verdicts key with
+  | Some (outcome, localization) ->
+    session.verdict_hits <- session.verdict_hits + 1;
+    finish
+      ( outcome,
+        localization,
+        {
+          verdict_cached = true;
+          parse_hits = 0;
+          blocks_reused = 0;
+          solo_reused = 0;
+          invalidated = 0;
+        } )
+  | None ->
+    let ((outcome, localization, _) as result) = run session in
+    (* An inconclusive verdict may come from a deadline, a cancellation
+       or memory pressure rather than from the document, so only
+       definite verdicts are remembered. *)
+    (match outcome.Pipeline.report.Realizability.verdict with
+     | Realizability.Consistent | Realizability.Inconsistent ->
+       Verdict_lru.add session.verdicts key (outcome, localization)
+     | Realizability.Inconclusive _ -> ());
+    finish result
 
 let check_cold ?options doc = check (create ?options doc)
 
@@ -345,8 +222,8 @@ let counters session =
   {
     checks = session.checks;
     verdict_hits = session.verdict_hits;
-    engine = Bounded.session_stats session.engine;
-    localize_entries = Localize.memo_length session.loc_memo;
+    engine = Bounded.session_stats session.cache.Pipeline.engine;
+    localize_entries = Localize.memo_length session.cache.Pipeline.memo;
     invalidated_total = session.invalidated_total;
   }
 

@@ -2,7 +2,11 @@
     [speccc watch].
 
     A {!session} pins one {!Pipeline.options} value to one evolving
-    {!Document.t} and re-checks only what an edit actually changed:
+    {!Document.t}.  {!check} is a document-verdict LRU lookup, then
+    {!Pipeline.run_document} and {!Pipeline.localize} over the
+    session's {!Pipeline.cache}, then a prune of cache entries about
+    edited-away formulas.  The cache re-checks only what an edit
+    actually changed:
 
     - sentence parses are cached per sentence text (the [nlp.parse]
       LRU), so unedited sentences are never re-parsed;
@@ -14,13 +18,12 @@
     - localization subset verdicts are memoized across checks
       ({!Localize.memo}), so re-localizing after an edit re-checks
       only subsets that mention an edited formula;
-    - whole-document verdicts are kept in a content-addressed LRU, so
-      reverting an edit is a cache hit.
+    - definite whole-document verdicts are kept in a content-addressed
+      LRU, so reverting an edit is a cache hit.
 
     Every store is content-addressed (sentence text, hash-consed
     formula ids, canonical document key), so stale reuse is impossible
-    by construction; {!check} additionally prunes entries referring to
-    edited-away formulas, which bounds growth over a long session.
+    by construction; the prune only bounds growth over a long session.
     The invariant the test-suite pins: a {!check} after any edit
     sequence is {e bit-identical} (verdict, witnesses, localization —
     see {!fingerprint}) to {!check_cold} on the same document.
@@ -30,9 +33,10 @@
     — they are linear-time and far off the critical path.
 
     Sessions with governed options ([fuel]/[deadline]/[cancel]/
-    [skip_engines]/[snapshot], or memory pressure), [recover] or
-    [certify] fall back to the full {!Pipeline.run_document} per
-    check: correct, but without engine reuse. *)
+    [skip_engines]/[snapshot], or memory pressure) run the same path,
+    but {!Pipeline} bypasses the cache for them: correct, but without
+    engine reuse.  Recovering and certifying sessions use the cache
+    like any other. *)
 
 type session
 
@@ -53,7 +57,8 @@ type checked = {
   outcome : Pipeline.outcome;
   localization : Localize.result option;
       (** culprit/partner analysis, present when the verdict is
-          [Inconsistent]; indices are 0-based into the document *)
+          [Inconsistent]; indices are 0-based into [outcome.formulas],
+          which omits sentences dropped by [recover] *)
   culprit_id : string option;   (** [localization.culprit] as a document id *)
   partner_ids : string list;    (** [localization.partners] as document ids *)
   wall_s : float;               (** wall time of this check *)
@@ -96,9 +101,9 @@ val delete : session -> id:string -> (unit, string) result
 
 val check : session -> checked
 (** Re-check the current document, reusing session state as described
-    above.  Raises {!Speccc_nlp.Parser.Error} when a sentence does not
-    parse (like the ungoverned pipeline; session state is untouched,
-    so the caller can fix the edit and re-check). *)
+    above.  Without [recover], raises {!Speccc_nlp.Parser.Error} when
+    a sentence does not parse, like {!Pipeline.run_document}; session
+    state is untouched, so the caller can fix the edit and re-check. *)
 
 val check_cold : ?options:Pipeline.options -> Document.t -> checked
 (** One check in a throwaway session: the cold-start oracle the

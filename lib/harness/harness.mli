@@ -173,9 +173,10 @@ val journal_line : doc_result -> string
 
 val journal_parse_line : string -> doc_result option
 (** Parse one {!journal_line}-format line back into a replayed result
-    ([fresh = false], [attempts = 0]); [None] for anything torn or
-    corrupt (any line not ending in ['}'] counts as torn even when
-    its surviving fields would parse).  The verdict store reuses this
+    ([fresh = false], [attempts = 0], [progress = None]); [None] for
+    anything torn or corrupt — the line is read with
+    {!Speccc_runtime.Jsonl.parse}, so a line cut anywhere, even after
+    every field survived, is rejected.  The verdict store reuses this
     as its record payload codec. *)
 
 val journal_append : ?fsync:bool -> string -> doc_result -> unit

@@ -1,10 +1,10 @@
-(** Minimal JSON for the serve-mode JSONL protocol.
+(** Minimal JSON: the one codec for the serve-mode JSONL protocol,
+    the batch journal and the verdict store's payload lines.
 
-    The repo carries no JSON dependency; the harness journal only ever
-    re-reads lines it wrote itself, but the server parses {e client}
-    input, so it gets a real recursive-descent parser: malformed
-    requests become [Error _] (and a typed [bad_request] response),
-    never an exception. *)
+    The repo carries no JSON dependency.  The server parses {e client}
+    input, so this is a real recursive-descent parser: malformed input
+    becomes [Error _] (for the server, a typed [bad_request]
+    response), never an exception. *)
 
 type t =
   | Null

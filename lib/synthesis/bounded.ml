@@ -236,11 +236,6 @@ let solve_game ?budget auto by_src ~bound ~num_input_bits ~num_output_bits
 
 type algorithm = Antichain | Enumerate
 
-let default_algorithm () =
-  match Sys.getenv_opt "SPECCC_EXPLICIT" with
-  | Some ("full" | "enum" | "enumerate") -> Enumerate
-  | Some _ | None -> Antichain
-
 (* f ⊑ g, pointwise on counts with -1 (inactive) as bottom. *)
 let dominated f g =
   let n = Array.length f in
@@ -692,13 +687,10 @@ let check_size ~max_letters ~inputs ~outputs =
           letter budget (max_letters = %d); use the symbolic engine"
          bits max_letters)
 
-let solve ?budget ?(bound = 3) ?(max_letters = 4096) ?algorithm ~inputs
-    ~outputs spec =
+let solve ?budget ?(bound = 3) ?(max_letters = 4096) ?(algorithm = Antichain)
+    ~inputs ~outputs spec =
   Speccc_runtime.Fault.hit Speccc_runtime.Fault.Checkpoint.engine_explicit;
   check_size ~max_letters ~inputs ~outputs;
-  let algorithm =
-    match algorithm with Some a -> a | None -> default_algorithm ()
-  in
   let num_input_bits = List.length inputs in
   let num_output_bits = List.length outputs in
   (* System game: UCW of the negation. *)
@@ -779,9 +771,8 @@ let solve ?budget ?(bound = 3) ?(max_letters = 4096) ?algorithm ~inputs
    snapshot): the initial position fell out of an upper bound of the
    winning region.
 
-   Solo frontiers are carried inside the session as [speccc-snap1]
-   snapshot payloads (the codec the anytime machinery already uses),
-   re-validated on every reuse exactly like a resumed frontier. *)
+   Solo frontiers never leave the process, so the session keeps them
+   as plain values; seeding only reads them (it lifts copies). *)
 
 type block = {
   b_auto : Nbw.t;
@@ -793,8 +784,8 @@ type session = {
       (* compiled guards and solo regions are relative to the in/out
          alphabets; a partition change invalidates everything *)
   s_blocks : (int, block) Hashtbl.t;           (* formula id -> block *)
-  s_solo : (int * int, Speccc_runtime.Snapshot.t option) Hashtbl.t;
-      (* (formula id, bound) -> encoded won frontier, None = solo lost *)
+  s_solo : (int * int, int array list option) Hashtbl.t;
+      (* (formula id, bound) -> won frontier, None = solo lost *)
   mutable s_built_blocks : int;
   mutable s_reused_blocks : int;
   mutable s_solved_solo : int;
@@ -867,58 +858,25 @@ let block_of session ?budget ~inputs ~outputs formula =
     session.s_built_blocks <- session.s_built_blocks + 1;
     block
 
-let encode_solo ~bound frontier =
-  Speccc_runtime.Snapshot.make ~engine:"explicit"
-    [
-      ("bound", string_of_int bound);
-      ("frontier", Speccc_runtime.Snapshot.counts_to_field frontier);
-    ]
-
-let decode_solo ~bound ~num_states snap =
-  if Speccc_runtime.Snapshot.int_field snap "bound" <> Some bound then None
-  else
-    match Speccc_runtime.Snapshot.field snap "frontier" with
-    | None -> None
-    | Some raw ->
-      (match Speccc_runtime.Snapshot.counts_of_field raw with
-       | Some (_ :: _ as frontier)
-         when List.for_all
-                (fun w ->
-                   Array.length w = num_states
-                   && Array.for_all (fun c -> c >= -1 && c <= bound) w)
-                frontier ->
-         Some frontier
-       | Some _ | None -> None)
-
 (* Converged solo frontier of one block's system game, or [None] when
    the system cannot even win that conjunct alone (which settles the
    joint system game at this bound: a joint win restricts to a solo
-   win).  Cached per (formula id, bound) through the snap1 codec; a
-   payload that fails re-validation is recomputed, never trusted. *)
+   win).  Cached per (formula id, bound). *)
 let solo_of session ?budget ~bound ~num_input_bits ~num_output_bits formula
     block =
-  let id = Ltl.id formula in
-  let solve_solo () =
+  let key = (Ltl.id formula, bound) in
+  match Hashtbl.find_opt session.s_solo key with
+  | Some frontier ->
+    session.s_reused_solo <- session.s_reused_solo + 1;
+    frontier
+  | None ->
     let frontier =
       solve_game_antichain ?budget block.b_auto block.b_by_src ~bound
         ~num_input_bits ~num_output_bits ~system_moves_second:true
     in
     session.s_solved_solo <- session.s_solved_solo + 1;
-    Hashtbl.replace session.s_solo (id, bound)
-      (Option.map (encode_solo ~bound) frontier);
+    Hashtbl.replace session.s_solo key frontier;
     frontier
-  in
-  match Hashtbl.find_opt session.s_solo (id, bound) with
-  | Some None ->
-    session.s_reused_solo <- session.s_reused_solo + 1;
-    None
-  | Some (Some snap) ->
-    (match decode_solo ~bound ~num_states:block.b_auto.Nbw.num_states snap with
-     | Some frontier ->
-       session.s_reused_solo <- session.s_reused_solo + 1;
-       Some frontier
-     | None -> solve_solo ())
-  | None -> solve_solo ()
 
 (* Disjoint union of the blocks, with per-block state offsets; the
    [transitions]/[atoms] fields are dead weight for the game solvers
@@ -1012,11 +970,6 @@ let solve_conj ?budget ?session ?(bound = 3) ?(max_letters = 4096) ~inputs
     ~outputs formulas =
   match formulas with
   | [] | [ _ ] ->
-    solve ?budget ~bound ~max_letters ~inputs ~outputs
-      (Ltl.conj_list formulas)
-  | _ when default_algorithm () = Enumerate ->
-    (* The decomposition is antichain-native; under the enumerative
-       differential-testing engine, fall through to the stock path. *)
     solve ?budget ~bound ~max_letters ~inputs ~outputs
       (Ltl.conj_list formulas)
   | _ ->

@@ -46,16 +46,13 @@ type algorithm =
           (Acacia-style).  The winning region is downward closed, so
           its frontier of maximal elements represents it exactly;
           independent requirements cost a few antichain elements
-          instead of a product state space.  This is the default. *)
+          instead of a product state space.  The production engine
+          and the default. *)
   | Enumerate
       (** Forward enumeration of every reachable counting function
           followed by a greatest fixpoint on the explicit game graph —
-          the original engine, kept selectable for differential
-          testing and as a fallback. *)
-
-val default_algorithm : unit -> algorithm
-(** [Antichain], unless the environment variable [SPECCC_EXPLICIT] is
-    set to ["full"], ["enum"] or ["enumerate"]. *)
+          the original engine, kept only as the reference the
+          antichain engine is identity-tested against. *)
 
 val refute : counterstrategy -> Mealy.t -> Speccc_logic.Trace.t
 (** Play the counterstrategy against a candidate controller; the
@@ -75,7 +72,7 @@ val solve :
   verdict
 (** [solve ~inputs ~outputs spec].  Default [bound] is [3]; default
     [max_letters] is [4096] ([= 2^12] combined valuations); default
-    [algorithm] is {!default_algorithm}.  Both algorithms decide the
+    [algorithm] is [Antichain].  Both algorithms decide the
     same games with the same move preferences during extraction, so
     verdicts and witness machines coincide.  When [budget] is given,
     fuel is spent as the solver progresses (stage ["explicit"]) —
@@ -105,9 +102,8 @@ val solve_iterative :
     per-conjunct automata [NBW(¬fi)], so the antichain game over a
     requirement conjunction decomposes block-wise.  A {!session}
     caches per formula id the compiled arena block and, per counting
-    bound, the converged {e solo} winning frontier of that block alone
-    (stored through the [speccc-snap1] codec and re-validated on every
-    reuse).  {!solve_conj} then seeds the joint greatest fixpoint with
+    bound, the converged {e solo} winning frontier of that block
+    alone.  {!solve_conj} then seeds the joint greatest fixpoint with
     the meet of the lifted solo frontiers — a proven upper bound of
     the joint winning region — so after a single-conjunct edit only
     that conjunct's block is rebuilt and re-solved solo, and the joint
@@ -156,10 +152,8 @@ val solve_conj :
 (** [solve_conj ~inputs ~outputs formulas] decides the conjunction of
     [formulas] like [solve (conj formulas)], block-decomposed as
     described above.  Without [session] a fresh one is used (a cold
-    run — the identity oracle).  Lists of length [<= 1], and runs
-    under the [Enumerate] differential-testing algorithm
-    ({!default_algorithm}), fall through to {!solve} on the plain
-    conjunction. *)
+    run — the identity oracle).  Lists of length [<= 1] fall through
+    to {!solve} on the plain conjunction. *)
 
 val solve_conj_iterative :
   ?budget:Speccc_runtime.Budget.t ->

@@ -321,6 +321,40 @@ let test_journal_parse_line_roundtrip () =
     (Harness.journal_parse_line (String.sub line 0 (String.length line - 1))
      = None)
 
+(* The journal's on-disk bytes are a compatibility surface: lines
+   written by earlier releases must keep reading back.  The pinned
+   line exercises a quote, a control character, raw UTF-8 and the
+   anytime [progress] object. *)
+let test_journal_line_bytes_read_back () =
+  let written =
+    {
+      Harness.doc = "spec \"v2\"\001 caf\xc3\xa9";
+      verdict = Harness.Unknown;
+      engine = "explicit";
+      attempts = 3;
+      wall = 0.25;
+      detail = "budget\texhausted";
+      fresh = true;
+      degradation = [];
+      progress = Some (Snapshot.make ~engine:"explicit" [ ("bound", "4") ]);
+    }
+  in
+  let line =
+    "{\"doc\":\"spec \\\"v2\\\"\\u0001 caf\xc3\xa9\",\"verdict\":\"unknown\",\
+     \"engine\":\"explicit\",\"attempts\":3,\"wall\":0.250,\
+     \"detail\":\"budget\\texhausted\",\
+     \"progress\":{\"engine\":\"explicit\",\"bound\":\"4\"}}"
+  in
+  Alcotest.(check string) "journal bytes unchanged" line
+    (Harness.journal_line written);
+  Alcotest.(check bool) "reads back as the replayed record" true
+    (Harness.journal_parse_line line
+     = Some
+         { written with
+           Harness.attempts = 0;
+           fresh = false;
+           progress = None })
+
 let test_journal_fsync_append () =
   (* [fsync] is a durability upgrade, not a format change: the line
      must read back exactly like a flushed one. *)
@@ -566,6 +600,8 @@ let () =
             test_journal_parse_line_roundtrip;
           Alcotest.test_case "fsync append reads back" `Quick
             test_journal_fsync_append;
+          Alcotest.test_case "pinned line bytes read back" `Quick
+            test_journal_line_bytes_read_back;
         ] );
       ( "store hooks",
         [

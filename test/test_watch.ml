@@ -44,22 +44,13 @@ let verdict_class (checked : Watch.checked) =
   | Realizability.Inconclusive _ -> "inconclusive"
 
 (* The full-pipeline reference: verdict class from
-   [Pipeline.run_document], culprit from the localization loop the
-   [localize] subcommand runs (fresh partitions, no session). *)
+   [Pipeline.run_document], culprit from [Pipeline.localize] without a
+   cache (fresh partitions, no session). *)
 let pipeline_reference doc =
   let outcome = Pipeline.run_document ~options:explicit_options doc in
   let culprit =
-    match outcome.Pipeline.report.Realizability.verdict with
-    | Realizability.Inconsistent ->
-      Localize.run
-        ~check:(fun subset ->
-          let _, report =
-            Pipeline.check_formulas ~options:explicit_options subset
-          in
-          report.Realizability.verdict = Realizability.Consistent)
-        outcome.Pipeline.formulas
-      |> Option.map (fun l -> Document.id_at doc l.Localize.culprit)
-    | _ -> None
+    Pipeline.localize ~options:explicit_options outcome
+    |> Option.map (fun l -> Document.id_at doc l.Localize.culprit)
   in
   let verdict =
     match outcome.Pipeline.report.Realizability.verdict with
@@ -144,16 +135,53 @@ let test_assumptions_take_the_stock_path () =
         ~text:"If the request is lost, the grant is enabled.");
   ignore (check_against_cold session)
 
-let test_governed_sessions_fall_back () =
+let test_governed_sessions_bypass_the_caches () =
   let options = { explicit_options with Pipeline.fuel = Some 2_000_000 } in
   let session = Watch.create ~options (base_doc ()) in
   let live = Watch.check session in
   let cold = Watch.check_cold ~options (Watch.document session) in
   Alcotest.(check string) "governed watch = governed cold"
     (Watch.fingerprint cold) (Watch.fingerprint live);
-  Alcotest.(check bool) "no engine reuse on the fallback path" true
+  Alcotest.(check bool) "no engine reuse on the governed path" true
     (not live.Watch.reuse.Watch.verdict_cached
      && live.Watch.reuse.Watch.blocks_reused = 0)
+
+(* Under [recover] the dropped sentence is not among the formulas the
+   localization indices count, so the culprit and its partner must be
+   named through the surviving requirements, never the dropped one. *)
+let test_recover_names_surviving_requirements () =
+  let options = { explicit_options with Pipeline.recover = true } in
+  let doc =
+    Document.parse
+      "R1: the the the.\n\
+       R2: If the pump is lost, the alarm is triggered.\n\
+       R3: If the pump is lost, the alarm is not triggered.\n"
+  in
+  let session = Watch.create ~options doc in
+  let live = Watch.check session in
+  Alcotest.(check (list string)) "R1 is dropped" [ "R1" ]
+    (List.map fst live.Watch.outcome.Pipeline.diagnostics);
+  Alcotest.(check string) "the survivors conflict" "inconsistent"
+    (verdict_class live);
+  Alcotest.(check (option string)) "culprit" (Some "R3") live.Watch.culprit_id;
+  Alcotest.(check (list string)) "partners" [ "R2" ] live.Watch.partner_ids;
+  let cold = Watch.check_cold ~options doc in
+  Alcotest.(check string) "recovering watch = recovering cold"
+    (Watch.fingerprint cold) (Watch.fingerprint live)
+
+let test_certify_sessions_match_cold () =
+  let options = { explicit_options with Pipeline.certify = true } in
+  let session = Watch.create ~options (base_doc ()) in
+  let initial = Watch.check session in
+  Alcotest.(check bool) "the verdict is certified" true
+    (initial.Watch.outcome.Pipeline.certificate <> None);
+  ok (Watch.insert session ~id:"R4"
+        ~text:"If the pump is lost, the alarm is not triggered.");
+  let live = Watch.check session in
+  let cold = Watch.check_cold ~options (Watch.document session) in
+  Alcotest.(check string) "certifying watch = certifying cold"
+    (Watch.fingerprint cold) (Watch.fingerprint live);
+  Alcotest.(check (option string)) "culprit" (Some "R4") live.Watch.culprit_id
 
 (* --- randomized drills --- *)
 
@@ -309,8 +337,12 @@ let () =
             test_edit_then_revert_is_noop;
           Alcotest.test_case "assumptions take the stock path" `Quick
             test_assumptions_take_the_stock_path;
-          Alcotest.test_case "governed sessions fall back" `Quick
-            test_governed_sessions_fall_back;
+          Alcotest.test_case "governed sessions bypass the caches" `Quick
+            test_governed_sessions_bypass_the_caches;
+          Alcotest.test_case "recover names surviving requirements" `Quick
+            test_recover_names_surviving_requirements;
+          Alcotest.test_case "certify sessions match cold" `Quick
+            test_certify_sessions_match_cold;
         ] );
       ( "random",
         [
