@@ -147,18 +147,10 @@ let fig1 () =
   let app = List.nth Telepromise.applications 3 in
   let texts = Telepromise.application_sentences app in
   let outcome = Pipeline.run ~options:sym_options texts in
-  let partition = outcome.Pipeline.partition.Partition.partition in
   Format.printf "iteration 1: check -> %s@."
     (verdict_string outcome.Pipeline.report.Realizability.verdict);
   let t0 = Unix.gettimeofday () in
-  let suggestion =
-    Refine.suggest
-      ~check_subset:(Pipeline.consistent ~options:sym_options)
-      ~check_partition:(fun partition ->
-        Pipeline.consistent ~options:sym_options ~partition
-          outcome.Pipeline.formulas)
-      ~partition outcome.Pipeline.formulas
-  in
+  let suggestion = Pipeline.refine ~options:sym_options outcome in
   Format.printf "iteration 2: localize + adjust (%.2fs)@."
     (Unix.gettimeofday () -. t0);
   (match suggestion.Refine.localization with

@@ -4,13 +4,26 @@
      translate   requirements -> LTL (stage 1)
      tree        print the syntax tree of one sentence (Fig. 2)
      lint        exact per-requirement sanity checks (SCR-style)
+     patterns    Dwyer-pattern classification of the requirements
      check       full pipeline: translate, abstract, partition, check
-     watch       incremental re-checking for a live document
      localize    locate the inconsistent requirements (Sec. V-B)
      synth       extract the controller / counterstrategy
      testgen     conformance test suite from the controller
-     patterns    Dwyer-pattern classification of the requirements
-     table       reproduce Table I *)
+     report      markdown report over every stage
+     monitor     replay a recorded trace against the requirements
+     watch       incremental re-checking for a live document
+     batch       many documents under one crash-safe supervisor
+     serve       long-running JSONL checking service
+     route       sharded service over spawned serve workers
+     table       reproduce Table I
+     fuzz        differential fuzzing of the pipeline
+     chaos       fault-schedule exploration
+
+   Options shared by several verbs are declared once, as the cmdliner
+   terms below; their range checks live in the converters, so a bad
+   value is a usage error before any verb runs.  Every pipeline verb
+   runs [Pipeline.run_document] on the document [load_document]
+   returns. *)
 
 open Cmdliner
 open Speccc_logic
@@ -18,19 +31,16 @@ open Speccc_core
 open Speccc_synthesis
 open Speccc_casestudies
 
-(* ---------- shared helpers ---------- *)
+(* ---------- specifications ---------- *)
+
+let numbered pairs =
+  List.mapi
+    (fun line (id, text) -> { Document.id; text; line = line + 1 })
+    pairs
 
 let builtin_spec = function
-  | "cara" ->
-    Some
-      (List.mapi
-         (fun line (id, text) -> { Document.id; text; line = line + 1 })
-         Cara.working_modes)
-  | "cara:modes" ->
-    Some
-      (List.mapi
-         (fun line (id, text) -> { Document.id; text; line = line + 1 })
-         Cara.mode_description)
+  | "cara" -> Some (numbered Cara.working_modes)
+  | "cara:modes" -> Some (numbered Cara.mode_description)
   | name ->
     (match String.index_opt name ':' with
      | Some i ->
@@ -48,16 +58,14 @@ let builtin_spec = function
         | "arbiter" ->
           (match int_of_string_opt row with
            | Some masters when masters >= 1 && masters <= 4 ->
-             Some
-               (List.mapi
-                  (fun line (id, text) -> { Document.id; text; line = line + 1 })
-                  (Arbiter.instance ~masters).Arbiter.document)
+             Some (numbered (Arbiter.instance ~masters).Arbiter.document)
            | Some _ | None -> None)
         | _ -> None)
      | None -> None)
 
 (* Formal built-ins ("robot:RxK"): specifications produced directly in
-   LTL with their partition, so they bypass translation. *)
+   LTL with their partition, so they bypass translation.  Only [check]
+   takes them. *)
 let robot_spec name =
   match String.index_opt name ':' with
   | Some i when String.sub name 0 i = "robot" ->
@@ -79,34 +87,64 @@ let load_document source =
       failwith
         (Printf.sprintf
            "unknown specification %S (expected a file, \"cara\", \
-            \"cara:ROW\", \"tele:ROW\" or \"robot:RxK\")"
-           source)
+            \"cara:modes\", \"cara:ROW\" with ROW one of %s, \"tele:ROW\" \
+            with ROW one of %s, or \"arbiter:N\" with N from 1 to 4)"
+           source
+           (String.concat ", " (List.map (fun c -> c.Cara.row) Cara.components))
+           (String.concat ", "
+              (List.map (fun a -> a.Telepromise.row) Telepromise.applications)))
 
-let load_spec source = Document.texts (load_document source)
+(* The one document path of the pipeline verbs. *)
+let run_spec options source =
+  let document = load_document source in
+  (document, Pipeline.run_document ~options document)
+
+(* Stage 1 alone, for the verbs that stop after translation: the
+   document and its translated requirements, in document order. *)
+let translate_spec source =
+  let document = load_document source in
+  let config = Speccc_translate.Translate.default_config () in
+  let result =
+    Speccc_translate.Translate.specification config (Document.texts document)
+  in
+  (document, result.Speccc_translate.Translate.requirements)
+
+let formulas_of requirements =
+  List.map (fun r -> r.Speccc_translate.Translate.formula) requirements
 
 let spec_arg =
   let doc =
     "Specification: a file with one requirement sentence per line \
-     ('#' comments allowed), or a built-in: $(b,cara), $(b,cara:2.1.1), \
-     $(b,tele:4), $(b,robot:2x5), ..."
+     ('#' comments allowed), or a built-in: $(b,cara), $(b,cara:modes), \
+     $(b,cara:2.1.1), $(b,tele:4), $(b,arbiter:2), ...  $(b,check) also \
+     takes the formal built-ins $(b,robot:RxK) (e.g. $(b,robot:2x5))."
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC" ~doc)
 
+(* ---------- option terms ---------- *)
+
+(* [conv] restricted to the values [ok] accepts: anything else is a
+   usage error (exit 3), reported before the verb runs. *)
+let checked conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+      Error (`Msg (Printf.sprintf "must be %s (got %s)" what s))
+    | result -> result
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int (fun n -> n > 0) "positive"
+let non_negative_int = checked Arg.int (fun n -> n >= 0) "non-negative"
+let positive_float = checked Arg.float (fun x -> x > 0.) "positive"
+let non_negative_float = checked Arg.float (fun x -> x >= 0.) "non-negative"
+
 let engine_arg =
-  let parse = function
-    | "auto" -> Ok Realizability.Auto
-    | "explicit" -> Ok Realizability.Explicit
-    | "symbolic" -> Ok Realizability.Symbolic
-    | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
+  let engines =
+    [ ("auto", Realizability.Auto); ("explicit", Realizability.Explicit);
+      ("symbolic", Realizability.Symbolic) ]
   in
-  let print ppf e =
-    Format.pp_print_string ppf
-      (match e with
-       | Realizability.Auto -> "auto"
-       | Realizability.Explicit -> "explicit"
-       | Realizability.Symbolic -> "symbolic")
-  in
-  Arg.(value & opt (conv (parse, print)) Realizability.Auto
+  Arg.(value & opt (enum engines) Realizability.Auto
        & info [ "engine" ] ~doc:"Synthesis engine: auto, explicit, symbolic.")
 
 let lookahead_arg =
@@ -115,12 +153,12 @@ let lookahead_arg =
          ~doc:"Bounded-eventuality depth for the symbolic engine.")
 
 let time_budget_arg =
-  Arg.(value & opt (some int) (Some 5)
+  Arg.(value & opt (some non_negative_int) (Some 5)
        & info [ "time-budget" ]
          ~doc:"Arrival-error budget B for time abstraction (Sec. IV-E).")
 
 let fuel_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some positive_int) None
        & info [ "budget" ]
          ~doc:"Deterministic step budget (fuel) for the synthesis \
                stage.  Exhaustion degrades down the engine fallback \
@@ -128,86 +166,156 @@ let fuel_arg =
                hanging; the degradation steps are reported.")
 
 let deadline_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some positive_float) None
        & info [ "deadline" ]
          ~doc:"Wall-clock seconds allowed for the synthesis stage.")
 
-let options_of ?fuel ?deadline ~engine ~lookahead ~time_budget () =
-  (match time_budget with
-   | Some b when b < 0 ->
-     failwith (Printf.sprintf "--time-budget must be >= 0 (got %d)" b)
-   | _ -> ());
-  (match fuel with
-   | Some f when f <= 0 ->
-     failwith (Printf.sprintf "--budget must be positive (got %d)" f)
-   | _ -> ());
-  (match deadline with
-   | Some d when d <= 0.0 ->
-     failwith (Printf.sprintf "--deadline must be positive (got %g)" d)
-   | _ -> ());
-  let defaults = Pipeline.default_options () in
-  { defaults with
-    Pipeline.engine; lookahead; time_budget; fuel; deadline }
+let certify_arg =
+  Arg.(value & flag
+       & info [ "certify" ]
+         ~doc:"Validate the verdict's witness (controller, \
+               counterstrategy or unsat core) with independent \
+               machinery before reporting; a rejected certificate \
+               downgrades the verdict to unknown.")
 
-(* ---------- translate ---------- *)
+let recover_arg =
+  Arg.(value & flag
+       & info [ "recover" ]
+         ~doc:"Keep going past ungrammatical requirements: each one \
+               is reported with its line and column span and the \
+               remaining requirements are checked.")
 
-let translate_cmd =
-  let syntax_arg =
-    Arg.(value & flag & info [ "paper" ] ~doc:"Print in the appendix style.")
+(* The pipeline options of a verb: --engine, --lookahead and
+   --time-budget always; --budget, --deadline, --certify and --recover
+   where the verb takes them. *)
+let pipeline_options ?(budget = false) ?(deadline = false)
+    ?(certify = false) ?(recover = false) () =
+  let only present arg absent = if present then arg else Term.const absent in
+  let make engine lookahead time_budget fuel deadline certify recover =
+    { (Pipeline.default_options ()) with
+      Pipeline.engine; lookahead; time_budget; fuel; deadline; certify;
+      recover }
   in
-  let run source paper =
-    let document = load_document source in
-    let config = Speccc_translate.Translate.default_config () in
-    let result =
-      Speccc_translate.Translate.specification config
-        (Document.texts document)
+  Term.(const make $ engine_arg $ lookahead_arg $ time_budget_arg
+        $ only budget fuel_arg None $ only deadline deadline_arg None
+        $ only certify certify_arg false $ only recover recover_arg false)
+
+(* --inject CHECKPOINT[@AFTER]=ACTION[:ARG] — a deterministic fault
+   trigger (chaos drills from the command line).  Examples:
+   engine.symbolic=fail:boom, sat.solve@2=exhaust,
+   server.request@1=delay:0.5, witness.controller=corrupt. *)
+let trigger_conv =
+  let module Fault = Speccc_runtime.Fault in
+  let ( let* ) = Result.bind in
+  let error fmt = Printf.ksprintf (fun m -> Error (`Msg m)) fmt in
+  let split c s =
+    match String.index_opt s c with
+    | None -> (s, None)
+    | Some i ->
+      (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+  in
+  let parse spec =
+    let* target, action =
+      match split '=' spec with
+      | target, Some action -> Ok (target, action)
+      | _, None -> error "%S: expected CHECKPOINT[@AFTER]=ACTION[:ARG]" spec
     in
-    let syntax =
-      if paper then Ltl_print.Paper else Ltl_print.Ascii
+    let* checkpoint, after =
+      match split '@' target with
+      | name, None -> Ok (name, 0)
+      | name, Some count ->
+        (match int_of_string_opt count with
+         | Some n -> Ok (name, n)
+         | None -> error "%S: bad hit count %S" spec count)
     in
-    List.iteri
-      (fun i r ->
-         Format.printf "%% %s: %s@.%s@.@."
-           (Document.id_at document i)
-           r.Speccc_translate.Translate.text
-           (Ltl_print.to_string ~syntax r.Speccc_translate.Translate.formula))
-      result.Speccc_translate.Translate.requirements
+    let* () =
+      if Fault.Checkpoint.mem checkpoint then Ok ()
+      else
+        error "%S: unknown checkpoint %S (see --list-faults)" spec checkpoint
+    in
+    let* action =
+      match split ':' action with
+      | "fail", message ->
+        Ok (Fault.Fail (Option.value message ~default:"injected"))
+      | "timeout", None -> Ok Fault.Timeout_now
+      | "exhaust", None -> Ok Fault.Exhaust
+      | "delay", Some seconds ->
+        (match float_of_string_opt seconds with
+         | Some s when s >= 0. -> Ok (Fault.Delay s)
+         | _ -> error "%S: bad delay %S" spec seconds)
+      | "corrupt", None -> Ok Fault.Corrupt
+      | _ ->
+        error
+          "%S: unknown action %S (fail[:msg], timeout, exhaust, \
+           delay:seconds, corrupt)"
+          spec action
+    in
+    Ok { Fault.checkpoint; after; action }
   in
-  Cmd.v (Cmd.info "translate" ~doc:"Translate requirements to LTL")
-    Term.(const run $ spec_arg $ syntax_arg)
+  let print ppf trigger = Format.pp_print_string ppf trigger.Fault.checkpoint in
+  Arg.conv (parse, print)
 
-(* ---------- tree ---------- *)
+let inject_arg =
+  Arg.(value & opt_all trigger_conv []
+       & info [ "inject" ] ~docv:"TRIGGER"
+         ~doc:"Install a deterministic fault trigger before the run: \
+               $(b,CHECKPOINT[@AFTER]=ACTION[:ARG]) with actions \
+               $(b,fail[:msg]), $(b,timeout), $(b,exhaust), \
+               $(b,delay:seconds), $(b,corrupt).  Repeatable; see \
+               $(b,--list-faults) for checkpoint names.")
 
-let tree_cmd =
-  let sentence_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SENTENCE")
+let seed_arg =
+  Arg.(value & opt int 0
+       & info [ "seed" ]
+         ~doc:"Seed resolving negative $(b,--inject) hit counts.")
+
+let mem_soft_arg =
+  Arg.(value & opt (some positive_int) None
+       & info [ "mem-soft" ] ~docv:"MB"
+         ~doc:"Soft memory watermark in MB of major heap: crossing it \
+               sheds the memoization caches (entries only) so memory \
+               comes back before the OS takes it.")
+
+let mem_hard_arg =
+  Arg.(value & opt (some positive_int) None
+       & info [ "mem-hard" ] ~docv:"MB"
+         ~doc:"Hard memory watermark in MB of major heap: while above \
+               it the engine fallback ladder skips straight to its \
+               cheapest rung, reporting the skipped rungs as \
+               $(i,Degraded(memory, ...)).")
+
+(* The watermark pair (soft, hard); the hard one may not lie below the
+   soft one. *)
+let memory_term =
+  let pair soft hard =
+    match soft, hard with
+    | Some s, Some h when h < s ->
+      Error (Printf.sprintf "--mem-hard %d lies below --mem-soft %d" h s)
+    | _ -> Ok (soft, hard)
   in
-  let run text =
-    let lexicon = Speccc_nlp.Lexicon.default () in
-    let tree = Speccc_nlp.Parser.sentence lexicon text in
-    Format.printf "%a@." Speccc_nlp.Syntax.pp_sentence tree
+  Term.(term_result' (const pair $ mem_soft_arg $ mem_hard_arg))
+
+(* The process-wide runtime setup, applied once before the verb runs:
+   --inject/--seed (where the verb takes them) install a fault plan,
+   and --mem-soft/--mem-hard arm the Gc-alarm watermark monitor — soft
+   sheds the memo caches (entries only; the counters survive), hard
+   makes the fallback ladder collapse to its last rung with a typed
+   Degraded("memory", _).  The monitor is off by default: fuel
+   determinism must not depend on allocator behaviour. *)
+let runtime_term ?(inject = false) () =
+  let module Memwatch = Speccc_runtime.Memwatch in
+  let setup (triggers, seed) (soft, hard) =
+    if triggers <> [] then Speccc_runtime.Fault.install ~seed triggers;
+    if soft <> None || hard <> None then begin
+      Memwatch.on_soft Speccc_cache.Cache.shed;
+      Memwatch.configure ?soft_mb:soft ?hard_mb:hard ()
+    end
   in
-  Cmd.v
-    (Cmd.info "tree" ~doc:"Print the syntax tree of one sentence (Fig. 2)")
-    Term.(const run $ sentence_arg)
-
-(* ---------- check ---------- *)
-
-let exit_of_verdict = function
-  | Realizability.Consistent -> ()
-  | Realizability.Inconsistent -> exit 1
-  | Realizability.Inconclusive _ -> exit 2
-
-(* Rendered via [canonical_degradation]: deduplicated and stably
-   sorted by ladder position, so a given report always prints the same
-   lines in the same order regardless of which path assembled it. *)
-let print_degradation report =
-  List.iter
-    (fun rung ->
-       Format.printf "degraded: %s — %s (%.3fs)@."
-         rung.Realizability.rung_engine rung.Realizability.rung_outcome
-         rung.Realizability.rung_wall)
-    (Realizability.canonical_degradation report)
+  let faults =
+    if inject then Term.(const (fun t s -> (t, s)) $ inject_arg $ seed_arg)
+    else Term.const ([], 0)
+  in
+  Term.(const setup $ faults $ memory_term)
 
 let stats_arg =
   Arg.(value & flag
@@ -239,53 +347,6 @@ let print_stats () =
     (Memwatch.level_name m.Memwatch.watermark)
     m.Memwatch.soft_trips m.Memwatch.hard_trips m.Memwatch.sheds
 
-let print_store_stats store =
-  let module Store = Speccc_store.Store in
-  let s = Store.stats store in
-  Format.eprintf
-    "== store ==@.verdict-store     live=%d snapshots=%d appends=%d hits=%d \
-     misses=%d compactions=%d recovered_bytes=%d crc_failures=%d \
-     file_bytes=%d@."
-    s.Store.live s.Store.snapshots s.Store.appends s.Store.hits s.Store.misses
-    s.Store.compactions s.Store.recovered_bytes s.Store.crc_failures
-    s.Store.file_bytes
-
-(* --mem-soft / --mem-hard arm the Gc-alarm watermark monitor: soft
-   sheds the memo caches (entries only; the counters survive), hard
-   makes the fallback ladder collapse to its last rung with a typed
-   Degraded("memory", _).  Off by default: fuel determinism must not
-   depend on allocator behaviour. *)
-let mem_soft_arg =
-  Arg.(value & opt (some int) None
-       & info [ "mem-soft" ] ~docv:"MB"
-         ~doc:"Soft memory watermark in MB of major heap: crossing it \
-               sheds the memoization caches (entries only) so memory \
-               comes back before the OS takes it.")
-
-let mem_hard_arg =
-  Arg.(value & opt (some int) None
-       & info [ "mem-hard" ] ~docv:"MB"
-         ~doc:"Hard memory watermark in MB of major heap: while above \
-               it the engine fallback ladder skips straight to its \
-               cheapest rung, reporting the skipped rungs as \
-               $(i,Degraded(memory, ...)).")
-
-let setup_memwatch soft hard =
-  let module Memwatch = Speccc_runtime.Memwatch in
-  (match soft, hard with
-   | Some s, _ when s <= 0 ->
-     failwith (Printf.sprintf "--mem-soft must be positive (got %d)" s)
-   | _, Some h when h <= 0 ->
-     failwith (Printf.sprintf "--mem-hard must be positive (got %d)" h)
-   | Some s, Some h when h < s ->
-     failwith
-       (Printf.sprintf "--mem-hard (%d) must be >= --mem-soft (%d)" h s)
-   | _ -> ());
-  if soft <> None || hard <> None then begin
-    Memwatch.on_soft Speccc_cache.Cache.shed;
-    Memwatch.configure ?soft_mb:soft ?hard_mb:hard ()
-  end
-
 let store_arg =
   Arg.(value & opt (some string) None
        & info [ "store" ] ~docv:"PATH"
@@ -302,186 +363,137 @@ let fsync_arg =
          ~doc:"fsync journal and verdict-store appends, so records \
                survive the machine dying, not just the process.")
 
-(* Wire the verdict store into the harness hooks (the serve mode does
-   this itself through its config; batch wires it here). *)
-let harness_with_store harness store =
+type store_flags = { path : string option; fsync : bool }
+
+let store_term =
+  Term.(const (fun path fsync -> { path; fsync }) $ store_arg $ fsync_arg)
+
+(* Run [f] over the verdict store --store names (if any), then print
+   the store's counters under --stats and close it. *)
+let with_store ~stats flags f =
   let module Store = Speccc_store.Store in
-  let module Harness = Speccc_harness.Harness in
-  match store with
-  | None -> harness
-  | Some st ->
-    let salt = Store.salt_of_options harness.Harness.options in
-    { harness with
-      Harness.store_find =
-        Some (fun doc -> Store.find st (Store.key ~salt doc));
-      store_put =
-        Some (fun doc result -> Store.put st ~key:(Store.key ~salt doc) result) }
+  let store = Option.map (Store.open_ ~fsync:flags.fsync) flags.path in
+  let result = f store in
+  if stats then
+    Option.iter
+      (fun store ->
+         let s = Store.stats store in
+         Format.eprintf
+           "== store ==@.verdict-store     live=%d snapshots=%d appends=%d \
+            hits=%d misses=%d compactions=%d recovered_bytes=%d \
+            crc_failures=%d file_bytes=%d@."
+           s.Store.live s.Store.snapshots s.Store.appends s.Store.hits
+           s.Store.misses s.Store.compactions s.Store.recovered_bytes
+           s.Store.crc_failures s.Store.file_bytes)
+      store;
+  Option.iter Store.close store;
+  result
 
-(* --inject CHECKPOINT[@AFTER]=ACTION[:ARG] — install a deterministic
-   fault plan before the run (chaos drills from the command line).
-   Examples: engine.symbolic=fail:boom, sat.solve@2=exhaust,
-   server.request@1=delay:0.5, witness.controller=corrupt. *)
-let inject_arg =
-  Arg.(value & opt_all string []
-       & info [ "inject" ] ~docv:"TRIGGER"
-         ~doc:"Install a deterministic fault trigger before the run: \
-               $(b,CHECKPOINT[@AFTER]=ACTION[:ARG]) with actions \
-               $(b,fail[:msg]), $(b,timeout), $(b,exhaust), \
-               $(b,delay:seconds), $(b,corrupt).  Repeatable; see \
-               $(b,--list-faults) for checkpoint names.")
+let journal_arg =
+  Arg.(value & opt (some string) None
+       & info [ "journal" ] ~docv:"PATH"
+         ~doc:"JSON-Lines verdict journal, appended and flushed after \
+               every document or response, so an interrupted run loses \
+               at most the one in flight.")
 
-let seed_arg =
-  Arg.(value & opt int 0
-       & info [ "seed" ]
-         ~doc:"Seed resolving negative $(b,--inject) hit counts.")
+let retries_arg =
+  Arg.(value & opt non_negative_int 2
+       & info [ "retries" ]
+         ~doc:"Extra attempts per document or request after the first, \
+               each under half the previous budget with exponential \
+               backoff in between (a request's retries stop once its \
+               watchdog trips).")
 
-let parse_inject spec =
-  let module Fault = Speccc_runtime.Fault in
-  match String.index_opt spec '=' with
-  | None ->
-    failwith
-      (Printf.sprintf
-         "--inject %S: expected CHECKPOINT[@AFTER]=ACTION[:ARG]" spec)
-  | Some eq ->
-    let target = String.sub spec 0 eq in
-    let action = String.sub spec (eq + 1) (String.length spec - eq - 1) in
-    let checkpoint, after =
-      match String.index_opt target '@' with
-      | None -> (target, 0)
-      | Some at ->
-        let name = String.sub target 0 at in
-        let count = String.sub target (at + 1) (String.length target - at - 1) in
-        (match int_of_string_opt count with
-         | Some n -> (name, n)
-         | None ->
-           failwith
-             (Printf.sprintf "--inject %S: bad hit count %S" spec count))
+(* ---------- translate ---------- *)
+
+let translate_cmd =
+  let syntax_arg =
+    Arg.(value & flag & info [ "paper" ] ~doc:"Print in the appendix style.")
+  in
+  let run source paper =
+    let document, requirements = translate_spec source in
+    let syntax =
+      if paper then Ltl_print.Paper else Ltl_print.Ascii
     in
-    if not (Fault.Checkpoint.mem checkpoint) then
-      failwith
-        (Printf.sprintf
-           "--inject %S: unknown checkpoint %S (see --list-faults)" spec
-           checkpoint);
-    let action =
-      let arg_of s =
-        match String.index_opt s ':' with
-        | None -> (s, None)
-        | Some i ->
-          (String.sub s 0 i,
-           Some (String.sub s (i + 1) (String.length s - i - 1)))
-      in
-      match arg_of action with
-      | "fail", message -> Fault.Fail (Option.value message ~default:"injected")
-      | "timeout", None -> Fault.Timeout_now
-      | "exhaust", None -> Fault.Exhaust
-      | "delay", Some seconds ->
-        (match float_of_string_opt seconds with
-         | Some s when s >= 0. -> Fault.Delay s
-         | _ ->
-           failwith
-             (Printf.sprintf "--inject %S: bad delay %S" spec seconds))
-      | "corrupt", None -> Fault.Corrupt
-      | _ ->
-        failwith
-          (Printf.sprintf
-             "--inject %S: unknown action %S (fail[:msg], timeout, \
-              exhaust, delay:seconds, corrupt)"
-             spec action)
-    in
-    { Fault.checkpoint; after; action }
+    List.iteri
+      (fun i r ->
+         Format.printf "%% %s: %s@.%s@.@."
+           (Document.id_at document i)
+           r.Speccc_translate.Translate.text
+           (Ltl_print.to_string ~syntax r.Speccc_translate.Translate.formula))
+      requirements
+  in
+  Cmd.v (Cmd.info "translate" ~doc:"Translate requirements to LTL")
+    Term.(const run $ spec_arg $ syntax_arg)
 
-let install_faults specs seed =
-  if specs <> [] then
-    Speccc_runtime.Fault.install ~seed (List.map parse_inject specs)
+(* ---------- tree ---------- *)
 
-let certify_arg =
-  Arg.(value & flag
-       & info [ "certify" ]
-         ~doc:"Validate the verdict's witness (controller, \
-               counterstrategy or unsat core) with independent \
-               machinery before reporting; a rejected certificate \
-               downgrades the verdict to unknown.")
+let tree_cmd =
+  let sentence_arg =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"SENTENCE")
+  in
+  let run text =
+    let lexicon = Speccc_nlp.Lexicon.default () in
+    let tree = Speccc_nlp.Parser.sentence lexicon text in
+    Format.printf "%a@." Speccc_nlp.Syntax.pp_sentence tree
+  in
+  Cmd.v
+    (Cmd.info "tree" ~doc:"Print the syntax tree of one sentence (Fig. 2)")
+    Term.(const run $ sentence_arg)
 
-let recover_arg =
-  Arg.(value & flag
-       & info [ "recover" ]
-         ~doc:"Keep going past ungrammatical requirements: each one \
-               is reported with its line and column span and the \
-               remaining requirements are checked.")
+(* ---------- check ---------- *)
 
-let print_certificate outcome =
-  match outcome.Pipeline.certificate with
-  | None -> ()
-  | Some certificate ->
-    Format.printf "certificate: %a@." Speccc_certify.Certify.pp_outcome
-      certificate
+let exit_of_verdict = function
+  | Realizability.Consistent -> ()
+  | Realizability.Inconsistent -> exit 1
+  | Realizability.Inconclusive _ -> exit 2
 
 let check_cmd =
-  let run source engine lookahead time_budget fuel deadline certify recover
-      mem_soft mem_hard stats =
-    setup_memwatch mem_soft mem_hard;
-    let options =
-      options_of ?fuel ?deadline ~engine ~lookahead ~time_budget ()
+  let run source options () stats =
+    let report, certificate =
+      match robot_spec source with
+      | Some scenario ->
+        (* formal built-in: already LTL, with a fixed partition *)
+        let partition =
+          {
+            Speccc_partition.Partition.inputs = scenario.Robot.inputs;
+            outputs = scenario.Robot.outputs;
+          }
+        in
+        Format.printf "formal built-in: %d robot(s), %d room(s), %d formulas@."
+          scenario.Robot.robots scenario.Robot.rooms
+          (List.length scenario.Robot.formulas);
+        let _, report =
+          Pipeline.check_formulas ~options ~partition scenario.Robot.formulas
+        in
+        let report, certificate =
+          Pipeline.certify_report options ~assumptions:[]
+            scenario.Robot.formulas report
+        in
+        Format.printf "%a@." Pipeline.pp_verdict report;
+        (report, certificate)
+      | None ->
+        let document, outcome = run_spec options source in
+        let num_assumptions =
+          List.length (fst (Document.split document))
+        in
+        if num_assumptions > 0 then
+          Format.printf "environment assumptions: %d@." num_assumptions;
+        Format.printf "%a@." Pipeline.pp_outcome outcome;
+        (outcome.Pipeline.report, outcome.Pipeline.certificate)
     in
-    let options = { options with Pipeline.certify; recover } in
-    match robot_spec source with
-    | Some scenario ->
-      (* formal built-in: already LTL, with a fixed partition *)
-      let partition =
-        {
-          Speccc_partition.Partition.inputs = scenario.Robot.inputs;
-          outputs = scenario.Robot.outputs;
-        }
-      in
-      Format.printf "formal built-in: %d robot(s), %d room(s), %d formulas@."
-        scenario.Robot.robots scenario.Robot.rooms
-        (List.length scenario.Robot.formulas);
-      let _, report =
-        Pipeline.check_formulas ~options ~partition scenario.Robot.formulas
-      in
-      let report, certificate =
-        if not certify then (report, None)
-        else
-          let report, outcome =
-            Speccc_certify.Certify.apply ~assumptions:[]
-              scenario.Robot.formulas report
-          in
-          (report, Some outcome)
-      in
-      let verdict =
-        match report.Realizability.verdict with
-        | Realizability.Consistent -> "CONSISTENT (realizable)"
-        | Realizability.Inconsistent -> "INCONSISTENT (unrealizable)"
-        | Realizability.Inconclusive why -> "INCONCLUSIVE: " ^ why
-      in
-      Format.printf "verdict: %s (engine: %s, %.3fs)@." verdict
-        report.Realizability.engine_used report.Realizability.wall_time;
-      print_degradation report;
-      Option.iter
-        (fun c ->
-           Format.printf "certificate: %a@."
-             Speccc_certify.Certify.pp_outcome c)
-        certificate;
-      if stats then print_stats ();
-      exit_of_verdict report.Realizability.verdict
-    | None ->
-      let document = load_document source in
-      let outcome = Pipeline.run_document ~options document in
-      let num_assumptions =
-        List.length (fst (Document.split document))
-      in
-      if num_assumptions > 0 then
-        Format.printf "environment assumptions: %d@." num_assumptions;
-      Format.printf "%a@." Pipeline.pp_outcome outcome;
-      print_certificate outcome;
-      if stats then print_stats ();
-      exit_of_verdict outcome.Pipeline.report.Realizability.verdict
+    Option.iter
+      (Format.printf "certificate: %a@." Speccc_certify.Certify.pp_outcome)
+      certificate;
+    if stats then print_stats ();
+    exit_of_verdict report.Realizability.verdict
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Run the full consistency pipeline (Fig. 1)")
-    Term.(const run $ spec_arg $ engine_arg $ lookahead_arg
-          $ time_budget_arg $ fuel_arg $ deadline_arg $ certify_arg
-          $ recover_arg $ mem_soft_arg $ mem_hard_arg $ stats_arg)
+    Term.(const run $ spec_arg
+          $ pipeline_options ~budget:true ~deadline:true ~certify:true
+              ~recover:true ()
+          $ runtime_term () $ stats_arg)
 
 (* ---------- batch ---------- *)
 
@@ -491,49 +503,23 @@ let batch_cmd =
          & info [] ~docv:"FILE"
            ~doc:"Requirement documents (one sentence per line).")
   in
-  let journal_arg =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"PATH"
-           ~doc:"JSON-Lines run journal, appended and flushed after \
-                 every document so an interrupted run loses at most \
-                 the document in flight.")
-  in
   let resume_arg =
     Arg.(value & flag
          & info [ "resume" ]
            ~doc:"Skip documents whose verdict is already in the \
                  journal (requires $(b,--journal)).")
   in
-  let retries_arg =
-    Arg.(value & opt int 2
-         & info [ "retries" ]
-           ~doc:"Extra attempts per document after the first, each \
-                 under half the previous budget with exponential \
-                 backoff in between.")
-  in
   let jobs_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "jobs" ] ~docv:"N"
            ~doc:"Worker domains checking documents in parallel \
                  (default 1 = sequential).  Results and journal lines \
                  are merged in input order, so verdict output matches \
                  the sequential run.")
   in
-  let run files engine lookahead time_budget fuel deadline certify recover
-      journal resume retries jobs stats inject seed store_path fsync
-      mem_soft mem_hard =
+  let run files options journal resume retries jobs stats () store_flags =
     if resume && journal = None then
       failwith "--resume requires --journal PATH";
-    install_faults inject seed;
-    setup_memwatch mem_soft mem_hard;
-    if retries < 0 then
-      failwith (Printf.sprintf "--retries must be >= 0 (got %d)" retries);
-    if jobs < 1 then
-      failwith (Printf.sprintf "--jobs must be >= 1 (got %d)" jobs);
-    let options =
-      options_of ?fuel ?deadline ~engine ~lookahead ~time_budget ()
-    in
-    let options = { options with Pipeline.certify; recover } in
     (* SIGINT requests a clean stop: the document in flight finishes
        (its journal line is flushed), the rest are skipped, and the
        run exits 130 over a resumable journal prefix. *)
@@ -545,24 +531,24 @@ let batch_cmd =
              (Sys.Signal_handle (fun _ -> Atomic.set interrupted true)))
       with Invalid_argument _ | Sys_error _ -> None
     in
-    let store =
-      Option.map (fun path -> Speccc_store.Store.open_ ~fsync path) store_path
+    let summary =
+      with_store ~stats store_flags (fun store ->
+          let config =
+            { (Speccc_harness.Harness.default_config ()) with
+              Speccc_harness.Harness.options; retries; journal; resume; jobs;
+              journal_fsync = store_flags.fsync;
+              stop = (fun () -> Atomic.get interrupted) }
+          in
+          let config =
+            Option.fold ~none:config
+              ~some:(fun store -> Speccc_store.Store.attach store config) store
+          in
+          let summary = Speccc_harness.Harness.run_files config files in
+          Option.iter (Sys.set_signal Sys.sigint) previous;
+          Format.printf "%a@." Speccc_harness.Harness.pp_summary summary;
+          if stats then print_stats ();
+          summary)
     in
-    let config =
-      { (Speccc_harness.Harness.default_config ()) with
-        Speccc_harness.Harness.options; retries; journal; resume; jobs;
-        journal_fsync = fsync;
-        stop = (fun () -> Atomic.get interrupted) }
-    in
-    let config = harness_with_store config store in
-    let summary = Speccc_harness.Harness.run_files config files in
-    Option.iter (Sys.set_signal Sys.sigint) previous;
-    Format.printf "%a@." Speccc_harness.Harness.pp_summary summary;
-    if stats then begin
-      print_stats ();
-      Option.iter print_store_stats store
-    end;
-    Option.iter Speccc_store.Store.close store;
     if summary.Speccc_harness.Harness.interrupted then exit 130
     else if summary.Speccc_harness.Harness.exit_code <> 0 then
       exit summary.Speccc_harness.Harness.exit_code
@@ -573,13 +559,47 @@ let batch_cmd =
              supervisor: per-document error confinement, degraded-\
              budget retries, a resumable run journal, and an optional \
              parallel worker pool")
-    Term.(const run $ files_arg $ engine_arg $ lookahead_arg
-          $ time_budget_arg $ fuel_arg $ deadline_arg $ certify_arg
-          $ recover_arg $ journal_arg $ resume_arg $ retries_arg
-          $ jobs_arg $ stats_arg $ inject_arg $ seed_arg $ store_arg
-          $ fsync_arg $ mem_soft_arg $ mem_hard_arg)
+    Term.(const run $ files_arg
+          $ pipeline_options ~budget:true ~deadline:true ~certify:true
+              ~recover:true ()
+          $ journal_arg $ resume_arg $ retries_arg $ jobs_arg $ stats_arg
+          $ runtime_term ~inject:true () $ store_term)
 
 (* ---------- serve ---------- *)
+
+(* SIGTERM and SIGINT request a graceful drain of a service; the
+   returned predicate reports whether one was requested. *)
+let stop_on_signals () =
+  let stopping = Atomic.make false in
+  let handler = Sys.Signal_handle (fun _ -> Atomic.set stopping true) in
+  List.iter
+    (fun signal ->
+       try Sys.set_signal signal handler
+       with Invalid_argument _ | Sys_error _ -> ())
+    [ Sys.sigterm; Sys.sigint ];
+  fun () -> Atomic.get stopping
+
+(* The worker knobs of serve, which route forwards to each of its
+   shard processes. *)
+let workers_arg =
+  Arg.(value & opt positive_int 2
+       & info [ "workers" ] ~docv:"N"
+         ~doc:"Worker domains checking requests concurrently (under \
+               $(b,route): inside each shard process).")
+
+let request_deadline_arg =
+  Arg.(value & opt positive_float 5.0
+       & info [ "request-deadline" ] ~docv:"SECONDS"
+         ~doc:"Default wall-clock deadline per request (a request may \
+               lower or raise its own via $(i,options.deadline)).")
+
+let grace_arg =
+  Arg.(value & opt non_negative_float 1.0
+       & info [ "grace" ] ~docv:"SECONDS"
+         ~doc:"Extra seconds after a request's deadline before the \
+               watchdog hard-preempts the worker (clamped to the \
+               deadline, so a stuck request is answered within 2x its \
+               deadline).")
 
 let serve_cmd =
   let socket_arg =
@@ -588,13 +608,8 @@ let serve_cmd =
            ~doc:"Serve over a Unix-domain socket at $(docv) instead of \
                  stdin/stdout.")
   in
-  let workers_arg =
-    Arg.(value & opt int 2
-         & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker domains checking requests concurrently.")
-  in
   let queue_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt positive_int 64
          & info [ "queue" ] ~docv:"N"
            ~doc:"Bounded request queue capacity; the reader blocks \
                  (backpressure) when it is full.")
@@ -606,27 +621,6 @@ let serve_cmd =
                  the queue holds $(docv) requests (default: the queue \
                  capacity).  Pass 0 to never shed and rely on \
                  backpressure only.")
-  in
-  let serve_deadline_arg =
-    Arg.(value & opt float 5.0
-         & info [ "request-deadline" ] ~docv:"SECONDS"
-           ~doc:"Default wall-clock deadline per request (a request \
-                 may lower or raise its own via \
-                 $(i,options.deadline)).")
-  in
-  let grace_arg =
-    Arg.(value & opt float 1.0
-         & info [ "grace" ] ~docv:"SECONDS"
-           ~doc:"Extra seconds after a request's deadline before the \
-                 watchdog hard-preempts the worker (clamped to the \
-                 deadline, so a stuck request is answered within 2x \
-                 its deadline).")
-  in
-  let journal_arg =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"PATH"
-           ~doc:"JSON-Lines verdict journal, appended and flushed per \
-                 response.")
   in
   let breaker_threshold_arg =
     Arg.(value & opt int 3
@@ -640,74 +634,39 @@ let serve_cmd =
            ~doc:"How long an open breaker skips its rung before a \
                  half-open probe is admitted.")
   in
-  let retries_arg =
-    Arg.(value & opt int 2
-         & info [ "retries" ]
-           ~doc:"Extra attempts per request after the first, each \
-                 under half the previous budget (abandoned once the \
-                 request's watchdog trips).")
-  in
   let run socket workers queue high_water deadline grace journal
-      breaker_threshold breaker_cooldown engine lookahead time_budget fuel
-      certify recover retries stats inject seed store_path fsync
-      mem_soft mem_hard =
-    install_faults inject seed;
-    setup_memwatch mem_soft mem_hard;
-    if workers < 1 then
-      failwith (Printf.sprintf "--workers must be >= 1 (got %d)" workers);
-    if queue < 1 then
-      failwith (Printf.sprintf "--queue must be >= 1 (got %d)" queue);
-    if deadline <= 0. then
-      failwith
-        (Printf.sprintf "--request-deadline must be positive (got %g)"
-           deadline);
-    if grace < 0. then
-      failwith (Printf.sprintf "--grace must be >= 0 (got %g)" grace);
-    if retries < 0 then
-      failwith (Printf.sprintf "--retries must be >= 0 (got %d)" retries);
-    let options = options_of ?fuel ~engine ~lookahead ~time_budget () in
-    let options = { options with Pipeline.certify; recover } in
-    let store =
-      Option.map (fun path -> Speccc_store.Store.open_ ~fsync path) store_path
-    in
-    let harness =
-      { (Speccc_harness.Harness.default_config ()) with
-        Speccc_harness.Harness.options; retries; journal;
-        journal_fsync = fsync }
-    in
-    let config =
-      { (Speccc_server.Server.default_config ()) with
-        Speccc_server.Server.harness; workers; queue_capacity = queue;
-        high_water =
-          (match high_water with
-           | Some 0 -> None
-           | Some n -> Some n
-           | None -> Some queue);
-        deadline; grace;
-        breaker_threshold; breaker_cooldown; store }
-    in
-    (* SIGTERM/SIGINT request a graceful drain: finish in-flight
-       requests, flush the journal, exit 0. *)
-    let stopping = Atomic.make false in
-    let handler = Sys.Signal_handle (fun _ -> Atomic.set stopping true) in
-    (try Sys.set_signal Sys.sigterm handler
-     with Invalid_argument _ | Sys_error _ -> ());
-    (try Sys.set_signal Sys.sigint handler
-     with Invalid_argument _ | Sys_error _ -> ());
-    let stop () = Atomic.get stopping in
-    let server_stats =
-      match socket with
-      | Some path -> Speccc_server.Server.run_socket ~stop config ~path
-      | None ->
-        Speccc_server.Server.run ~stop config ~input:Unix.stdin
-          ~output:stdout
-    in
-    if stats then begin
-      Format.eprintf "%a@." Speccc_server.Server.pp_stats server_stats;
-      print_stats ();
-      Option.iter print_store_stats store
-    end;
-    Option.iter Speccc_store.Store.close store
+      breaker_threshold breaker_cooldown options retries stats () store_flags =
+    with_store ~stats store_flags (fun store ->
+        let harness =
+          { (Speccc_harness.Harness.default_config ()) with
+            Speccc_harness.Harness.options; retries; journal;
+            journal_fsync = store_flags.fsync }
+        in
+        let config =
+          { (Speccc_server.Server.default_config ()) with
+            Speccc_server.Server.harness; workers; queue_capacity = queue;
+            high_water =
+              (match high_water with
+               | Some 0 -> None
+               | Some n -> Some n
+               | None -> Some queue);
+            deadline; grace;
+            breaker_threshold; breaker_cooldown; store }
+        in
+        (* a drain finishes in-flight requests, flushes the journal and
+           exits 0 *)
+        let stop = stop_on_signals () in
+        let server_stats =
+          match socket with
+          | Some path -> Speccc_server.Server.run_socket ~stop config ~path
+          | None ->
+            Speccc_server.Server.run ~stop config ~input:Unix.stdin
+              ~output:stdout
+        in
+        if stats then begin
+          Format.eprintf "%a@." Speccc_server.Server.pp_stats server_stats;
+          print_stats ()
+        end)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -717,17 +676,17 @@ let serve_cmd =
              backpressure and load shedding, per-engine circuit \
              breakers, and graceful drain on SIGTERM/SIGINT")
     Term.(const run $ socket_arg $ workers_arg $ queue_arg $ high_water_arg
-          $ serve_deadline_arg $ grace_arg $ journal_arg
-          $ breaker_threshold_arg $ breaker_cooldown_arg $ engine_arg
-          $ lookahead_arg $ time_budget_arg $ fuel_arg $ certify_arg
-          $ recover_arg $ retries_arg $ stats_arg $ inject_arg $ seed_arg
-          $ store_arg $ fsync_arg $ mem_soft_arg $ mem_hard_arg)
+          $ request_deadline_arg $ grace_arg $ journal_arg
+          $ breaker_threshold_arg $ breaker_cooldown_arg
+          $ pipeline_options ~budget:true ~certify:true ~recover:true ()
+          $ retries_arg $ stats_arg $ runtime_term ~inject:true ()
+          $ store_term)
 
 (* ---------- route ---------- *)
 
 let route_cmd =
   let shards_arg =
-    Arg.(value & opt int 3
+    Arg.(value & opt positive_int 3
          & info [ "shards" ] ~docv:"N"
            ~doc:"Worker processes to spawn and route across.")
   in
@@ -738,13 +697,13 @@ let route_cmd =
                  the load split).")
   in
   let route_retries_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt non_negative_int 2
          & info [ "failover-retries" ] ~docv:"N"
            ~doc:"Extra shards a request is re-dispatched to after its \
                  home shard fails.")
   in
   let timeout_arg =
-    Arg.(value & opt float 30.0
+    Arg.(value & opt positive_float 30.0
          & info [ "request-timeout" ] ~docv:"SECONDS"
            ~doc:"Seconds to wait for a worker's response before \
                  declaring it wedged, killing it and failing over; \
@@ -767,41 +726,17 @@ let route_cmd =
                  store and answers repeated specs without re-running \
                  any engine.")
   in
-  let workers_arg =
-    Arg.(value & opt int 2
-         & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker domains inside each shard process.")
-  in
-  let route_deadline_arg =
-    Arg.(value & opt float 5.0
-         & info [ "request-deadline" ] ~docv:"SECONDS"
-           ~doc:"Per-request wall-clock deadline forwarded to the \
-                 workers.")
-  in
-  let grace_arg =
-    Arg.(value & opt float 1.0
-         & info [ "grace" ] ~docv:"SECONDS"
-           ~doc:"Watchdog grace forwarded to the workers.")
-  in
   let worker_args_arg =
     Arg.(value & opt_all string []
          & info [ "worker-arg" ] ~docv:"ARG"
            ~doc:"Extra argument appended verbatim to every worker's \
                  $(b,speccc serve) command line (repeatable) — e.g. \
                  $(b,--worker-arg=--inject) \
-                 $(b,--worker-arg=server.request\\@0=delay:1.5) for \
+                 $(b,--worker-arg=server.request@0=delay:1.5) for \
                  crash drills.")
   in
   let run shards replicas retries timeout socket_dir store_dir fsync workers
-      deadline grace worker_args stats mem_soft mem_hard =
-    if shards < 1 then
-      failwith (Printf.sprintf "--shards must be >= 1 (got %d)" shards);
-    if retries < 0 then
-      failwith
-        (Printf.sprintf "--failover-retries must be >= 0 (got %d)" retries);
-    if timeout <= 0. then
-      failwith
-        (Printf.sprintf "--request-timeout must be positive (got %g)" timeout);
+      deadline grace worker_args stats (mem_soft, mem_hard) =
     let socket_dir =
       match socket_dir with
       | Some dir -> dir
@@ -813,6 +748,9 @@ let route_cmd =
      | Some dir when not (Sys.file_exists dir) ->
        (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ())
      | _ -> ());
+    let megabytes flag =
+      Option.fold ~none:[] ~some:(fun mb -> [ flag; string_of_int mb ])
+    in
     let worker_argv ~shard ~socket =
       Array.of_list
         ([ Sys.executable_name; "serve"; "--socket"; socket;
@@ -826,12 +764,7 @@ let route_cmd =
             | None -> [])
          @ (if fsync then [ "--fsync" ] else [])
          (* watermarks apply inside the engine processes, not the router *)
-         @ (match mem_soft with
-            | Some mb -> [ "--mem-soft"; string_of_int mb ]
-            | None -> [])
-         @ (match mem_hard with
-            | Some mb -> [ "--mem-hard"; string_of_int mb ]
-            | None -> [])
+         @ megabytes "--mem-soft" mem_soft @ megabytes "--mem-hard" mem_hard
          @ worker_args)
     in
     let config =
@@ -839,15 +772,9 @@ let route_cmd =
         Speccc_shard.Shard.shards; replicas; request_retries = retries;
         request_timeout = timeout }
     in
-    (* SIGTERM/SIGINT drain the router: in-flight requests finish,
-       workers are shut down and reaped. *)
-    let stopping = Atomic.make false in
-    let handler = Sys.Signal_handle (fun _ -> Atomic.set stopping true) in
-    (try Sys.set_signal Sys.sigterm handler
-     with Invalid_argument _ | Sys_error _ -> ());
-    (try Sys.set_signal Sys.sigint handler
-     with Invalid_argument _ | Sys_error _ -> ());
-    let stop () = Atomic.get stopping in
+    (* a drain lets in-flight requests finish, then shuts the workers
+       down and reaps them *)
+    let stop = stop_on_signals () in
     let route_stats =
       Speccc_shard.Shard.run ~stop config ~input:Unix.stdin ~output:stdout
     in
@@ -864,31 +791,22 @@ let route_cmd =
              crashes and full restarts")
     Term.(const run $ shards_arg $ replicas_arg $ route_retries_arg
           $ timeout_arg $ socket_dir_arg $ store_dir_arg $ fsync_arg
-          $ workers_arg $ route_deadline_arg $ grace_arg $ worker_args_arg
-          $ stats_arg $ mem_soft_arg $ mem_hard_arg)
+          $ workers_arg $ request_deadline_arg $ grace_arg $ worker_args_arg
+          $ stats_arg $ memory_term)
 
 (* ---------- localize ---------- *)
 
 let localize_cmd =
-  let run source engine lookahead time_budget =
-    let texts = load_spec source in
-    let options = options_of ~engine ~lookahead ~time_budget () in
-    let outcome = Pipeline.run ~options texts in
+  let run source options =
+    let document, outcome = run_spec options source in
     match outcome.Pipeline.report.Realizability.verdict with
     | Realizability.Consistent ->
       Format.printf "specification is consistent; nothing to localize@."
     | Realizability.Inconsistent | Realizability.Inconclusive _ ->
-      let suggestion =
-        Refine.suggest ~check_subset:(Pipeline.consistent ~options)
-          ~check_partition:(fun partition ->
-            Pipeline.consistent ~options ~partition outcome.Pipeline.formulas)
-          ~partition:outcome.Pipeline.partition.Speccc_partition.Partition.partition
-          outcome.Pipeline.formulas
-      in
+      let suggestion = Pipeline.refine ~options outcome in
       (match suggestion.Refine.localization with
        | Some localization ->
          Format.printf "%a@." Localize.pp localization;
-         let document = load_document source in
          List.iteri
            (fun i r ->
               if i = localization.Localize.culprit
@@ -903,7 +821,7 @@ let localize_cmd =
   Cmd.v
     (Cmd.info "localize"
        ~doc:"Locate inconsistent requirements and suggest refinements")
-    Term.(const run $ spec_arg $ engine_arg $ lookahead_arg $ time_budget_arg)
+    Term.(const run $ spec_arg $ pipeline_options ())
 
 (* ---------- synth ---------- *)
 
@@ -923,10 +841,8 @@ let synth_cmd =
          & info [ "verilog" ]
            ~doc:"Print the controller as a synthesizable Verilog module.")
   in
-  let run source engine lookahead time_budget dot st verilog =
-    let texts = load_spec source in
-    let options = options_of ~engine ~lookahead ~time_budget () in
-    let outcome = Pipeline.run ~options texts in
+  let run source options dot st verilog =
+    let _, outcome = run_spec options source in
     match outcome.Pipeline.report.Realizability.verdict with
     | Realizability.Consistent ->
       (match outcome.Pipeline.report.Realizability.controller with
@@ -973,16 +889,14 @@ let synth_cmd =
     (Cmd.info "synth"
        ~doc:"Synthesize a controller (or a counterstrategy) from the \
              specification")
-    Term.(const run $ spec_arg $ engine_arg $ lookahead_arg $ time_budget_arg
-          $ dot_arg $ st_arg $ verilog_arg)
+    Term.(const run $ spec_arg $ pipeline_options () $ dot_arg $ st_arg
+          $ verilog_arg)
 
 (* ---------- testgen ---------- *)
 
 let testgen_cmd =
-  let run source engine lookahead time_budget =
-    let texts = load_spec source in
-    let options = options_of ~engine ~lookahead ~time_budget () in
-    let outcome = Pipeline.run ~options texts in
+  let run source options =
+    let _, outcome = run_spec options source in
     match outcome.Pipeline.report.Realizability.controller with
     | None ->
       Format.printf
@@ -1008,30 +922,22 @@ let testgen_cmd =
     (Cmd.info "testgen"
        ~doc:"Derive a conformance test suite from the synthesized \
              controller")
-    Term.(const run $ spec_arg $ engine_arg $ lookahead_arg $ time_budget_arg)
+    Term.(const run $ spec_arg $ pipeline_options ())
 
 (* ---------- patterns ---------- *)
 
 let patterns_cmd =
   let run source =
-    let document = load_document source in
-    let texts = Document.texts document in
-    let config = Speccc_translate.Translate.default_config () in
-    let result = Speccc_translate.Translate.specification config texts in
-    let formulas =
-      List.map
-        (fun r -> r.Speccc_translate.Translate.formula)
-        result.Speccc_translate.Translate.requirements
-    in
+    let _, requirements = translate_spec source in
     List.iter
       (fun (i, instance) ->
-         let text = List.nth texts i in
+         let text = (List.nth requirements i).Speccc_translate.Translate.text in
          match instance with
          | Some instance ->
            Format.printf "[%d] %a@.    %s@." i
              Speccc_patterns.Patterns.pp_instance instance text
          | None -> Format.printf "[%d] (no pattern) %s@." i text)
-      (Speccc_patterns.Patterns.classify formulas)
+      (Speccc_patterns.Patterns.classify (formulas_of requirements))
   in
   Cmd.v
     (Cmd.info "patterns"
@@ -1062,16 +968,10 @@ let lintable_formulas formulas =
 
 let lint_cmd =
   let run source =
-    let document = load_document source in
-    let texts = Document.texts document in
-    let config = Speccc_translate.Translate.default_config () in
-    let result = Speccc_translate.Translate.specification config texts in
-    let formulas =
-      List.map
-        (fun r -> r.Speccc_translate.Translate.formula)
-        result.Speccc_translate.Translate.requirements
+    let document, requirements = translate_spec source in
+    let findings =
+      Speccc_lint.Lint.check (lintable_formulas (formulas_of requirements))
     in
-    let findings = Speccc_lint.Lint.check (lintable_formulas formulas) in
     if findings = [] then
       Format.printf "no findings: every requirement is satisfiable, \
                      non-trivial, pairwise compatible and fireable@."
@@ -1101,10 +1001,8 @@ let report_cmd =
          & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write the markdown report to $(docv) instead of stdout.")
   in
-  let run source engine lookahead time_budget output =
-    let document = load_document source in
-    let options = options_of ~engine ~lookahead ~time_budget () in
-    let outcome = Pipeline.run_document ~options document in
+  let run source options output =
+    let document, outcome = run_spec options source in
     let buffer = Buffer.create 8192 in
     let add fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
     add "# Consistency report: %s\n\n" source;
@@ -1138,10 +1036,7 @@ let report_cmd =
     add "\n## Lint findings\n\n";
     let findings =
       Speccc_lint.Lint.check
-        (lintable_formulas
-           (List.map
-              (fun r -> r.Speccc_translate.Translate.formula)
-              outcome.Pipeline.requirements))
+        (lintable_formulas (formulas_of outcome.Pipeline.requirements))
     in
     if findings = [] then add "None.\n"
     else
@@ -1191,14 +1086,7 @@ let report_cmd =
     (match outcome.Pipeline.report.Realizability.verdict with
      | Realizability.Consistent -> ()
      | Realizability.Inconsistent | Realizability.Inconclusive _ ->
-       let suggestion =
-         Refine.suggest ~check_subset:(Pipeline.consistent ~options)
-           ~check_partition:(fun partition ->
-             Pipeline.consistent ~options ~partition outcome.Pipeline.formulas)
-           ~partition:outcome.Pipeline.partition
-               .Speccc_partition.Partition.partition
-           outcome.Pipeline.formulas
-       in
+       let suggestion = Pipeline.refine ~options outcome in
        add "\n## Refinement (stage 3)\n\n";
        (match suggestion.Refine.localization with
         | Some localization ->
@@ -1226,8 +1114,7 @@ let report_cmd =
        ~doc:"Produce a full markdown consistency report (translations, \
              patterns, lint, abstraction, partition, verdict, \
              refinement advice)")
-    Term.(const run $ spec_arg $ engine_arg $ lookahead_arg $ time_budget_arg
-          $ output_arg)
+    Term.(const run $ spec_arg $ pipeline_options () $ output_arg)
 
 (* ---------- monitor ---------- *)
 
@@ -1261,12 +1148,7 @@ let monitor_cmd =
     go []
   in
   let run source trace_path =
-    let document = load_document source in
-    let config = Speccc_translate.Translate.default_config () in
-    let result =
-      Speccc_translate.Translate.specification config
-        (Document.texts document)
-    in
+    let document, requirements = translate_spec source in
     let letters = parse_trace trace_path in
     Format.printf "trace: %d letters@.@." (List.length letters);
     let any_violation = ref false in
@@ -1287,7 +1169,7 @@ let monitor_cmd =
          | Speccc_monitor.Monitor.Running residual ->
            Format.printf "%-10s pending: %s@." id
              (Ltl_print.to_string residual))
-      result.Speccc_translate.Translate.requirements;
+      requirements;
     if !any_violation then exit 1
   in
   Cmd.v
@@ -1298,27 +1180,16 @@ let monitor_cmd =
 
 (* ---------- table ---------- *)
 
-let row_sources row =
-  match row.Table1.source with
-  | Table1.Sentences texts -> `Nl texts
-  | Table1.Formulas (formulas, inputs, outputs) ->
-    `Formal (formulas, inputs, outputs)
-
-let run_row ?(lookahead = 6) row =
+let run_row options row =
   let start = Unix.gettimeofday () in
-  let options =
-    { (Pipeline.default_options ()) with
-      Pipeline.engine = Realizability.Symbolic;
-      lookahead }
-  in
   let formulas, partition, report =
-    match row_sources row with
-    | `Nl texts ->
+    match row.Table1.source with
+    | Table1.Sentences texts ->
       let outcome = Pipeline.run ~options texts in
       ( outcome.Pipeline.formulas,
         outcome.Pipeline.partition.Speccc_partition.Partition.partition,
         outcome.Pipeline.report )
-    | `Formal (formulas, inputs, outputs) ->
+    | Table1.Formulas (formulas, inputs, outputs) ->
       let partition =
         { Speccc_partition.Partition.inputs; outputs }
       in
@@ -1339,10 +1210,12 @@ let table_cmd =
          & info [ "only" ]
            ~doc:"Run a single row, e.g. $(b,CARA:0) or $(b,Robot:3).")
   in
-  let lookahead_arg =
-    Arg.(value & opt int 6 & info [ "lookahead" ] ~doc:"Symbolic lookahead.")
-  in
   let run only lookahead =
+    let options =
+      { (Pipeline.default_options ()) with
+        Pipeline.engine = Realizability.Symbolic;
+        lookahead }
+    in
     let selected =
       match only with
       | None -> Table1.rows
@@ -1358,7 +1231,7 @@ let table_cmd =
       "Specification" "formulas" "in" "out" "time(s)" "verdict";
     List.iter
       (fun row ->
-         let formulas, partition, report, elapsed = run_row ~lookahead row in
+         let formulas, partition, report, elapsed = run_row options row in
          let fixed_note =
            match row.Table1.expected, report.Realizability.verdict with
            | Table1.Inconsistent_until_partition_fix prop,
@@ -1367,11 +1240,6 @@ let table_cmd =
              let adjusted =
                Speccc_partition.Partition.adjust partition
                  ~to_output:[ prop ] ()
-             in
-             let options =
-               { (Pipeline.default_options ()) with
-                 Pipeline.engine = Realizability.Symbolic;
-                 lookahead }
              in
              let _, report' =
                Pipeline.check_formulas ~options ~partition:adjusted formulas
@@ -1395,16 +1263,19 @@ let table_cmd =
 
 (* ---------- fuzz ---------- *)
 
+(* The generators' --seed (fuzz cases, chaos schedules); not the
+   fault-plan --seed of batch and serve. *)
+let generator_seed_arg =
+  Arg.(value & opt int 42
+       & info [ "seed" ] ~docv:"SEED"
+         ~doc:"Seed of the generated cases (fuzz) or of the paired \
+               perturbations (chaos); the whole run is deterministic in \
+               it (fuel-bounded engines, no wall-clock dependence).")
+
 let fuzz_cmd =
   let n_arg =
     Arg.(value & opt int 200
          & info [ "n" ] ~docv:"N" ~doc:"Number of generated cases.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42
-         & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Generator seed; the whole campaign is deterministic in \
-                 it (fuel-bounded engines, no wall-clock dependence).")
   in
   let corpus_arg =
     Arg.(value & opt (some string) None
@@ -1467,7 +1338,8 @@ let fuzz_cmd =
               disjointness).  Divergences are shrunk to minimal \
               reproducers.  Exit code 1 when any divergence is found.";
          ])
-    Term.(const run $ n_arg $ seed_arg $ corpus_arg $ report_arg $ buggy_arg)
+    Term.(const run $ n_arg $ generator_seed_arg $ corpus_arg $ report_arg
+          $ buggy_arg)
 
 let chaos_cmd =
   let module C = Speccc_chaos.Chaos in
@@ -1493,12 +1365,6 @@ let chaos_cmd =
                  seeded pairs) over the clean trace, replay each \
                  schedule, check the recovery invariants, and \
                  delta-debug minimize any failure.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42
-         & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Seed for the paired-perturbation sampler; the whole \
-                 exploration is deterministic in it.")
   in
   let pairs_arg =
     Arg.(value & opt int 5
@@ -1618,9 +1484,9 @@ let chaos_cmd =
               $(b,.chaos) corpus entries.  Exit code 1 when an \
               invariant is violated.";
          ])
-    Term.(const run $ workload_arg $ trace_arg $ explore_arg $ seed_arg
-          $ pairs_arg $ occ_arg $ sites_arg $ max_schedules_arg
-          $ corpus_arg $ replay_arg)
+    Term.(const run $ workload_arg $ trace_arg $ explore_arg
+          $ generator_seed_arg $ pairs_arg $ occ_arg $ sites_arg
+          $ max_schedules_arg $ corpus_arg $ replay_arg)
 
 (* ---------- watch ---------- *)
 
@@ -1698,8 +1564,7 @@ let watch_cmd =
            ("localize_entries", num c.Watch.localize_entries);
            ("invalidated", num c.Watch.invalidated_total) ])
   in
-  let run source engine lookahead time_budget poll stats =
-    let options = options_of ~engine ~lookahead ~time_budget () in
+  let run source options poll stats =
     let session = Watch.create ~options (load_document source) in
     let is_file = Sys.file_exists source in
     let mtime () = if is_file then (Unix.stat source).Unix.st_mtime else 0. in
@@ -1712,28 +1577,6 @@ let watch_cmd =
       | exception Speccc_nlp.Parser.Error message ->
         error_event !seq ("parse error: " ^ message)
     in
-    (* Stdin is a line protocol; buffer reads ourselves so several
-       commands arriving in one burst are all drained before the next
-       select. *)
-    let pending = Buffer.create 256 in
-    let eof = ref false in
-    let next_line () =
-      let contents = Buffer.contents pending in
-      match String.index_opt contents '\n' with
-      | Some i ->
-        Buffer.clear pending;
-        Buffer.add_string pending
-          (String.sub contents (i + 1) (String.length contents - i - 1));
-        Some (String.sub contents 0 i)
-      | None -> None
-    in
-    let fill () =
-      let chunk = Bytes.create 4096 in
-      match Unix.read Unix.stdin chunk 0 4096 with
-      | 0 -> eof := true
-      | n -> Buffer.add_subbytes pending chunk 0 n
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    in
     let quit = ref false in
     let on_command line =
       let trimmed = String.trim line in
@@ -1743,28 +1586,24 @@ let watch_cmd =
         | Ok json ->
           let id () = J.str_member "id" json in
           let text () = J.str_member "text" json in
+          let apply = function
+            | Ok () -> check ()
+            | Error message -> error_event !seq message
+          in
           (match J.str_member "cmd" json with
            | Some "edit" ->
              (match (id (), text ()) with
-              | Some id, Some text ->
-                (match Watch.edit session ~id ~text with
-                 | Ok () -> check ()
-                 | Error message -> error_event !seq message)
+              | Some id, Some text -> apply (Watch.edit session ~id ~text)
               | _ -> error_event !seq "edit needs \"id\" and \"text\"")
            | Some "insert" ->
              (match (id (), text ()) with
               | Some id, Some text ->
                 let at = J.int_member "at" json in
-                (match Watch.insert ?at session ~id ~text with
-                 | Ok () -> check ()
-                 | Error message -> error_event !seq message)
+                apply (Watch.insert ?at session ~id ~text)
               | _ -> error_event !seq "insert needs \"id\" and \"text\"")
            | Some "delete" ->
              (match id () with
-              | Some id ->
-                (match Watch.delete session ~id with
-                 | Ok () -> check ()
-                 | Error message -> error_event !seq message)
+              | Some id -> apply (Watch.delete session ~id)
               | None -> error_event !seq "delete needs \"id\"")
            | Some "check" -> check ()
            | Some "reload" ->
@@ -1779,26 +1618,37 @@ let watch_cmd =
            | Some other -> error_event !seq ("unknown command " ^ other)
            | None -> error_event !seq "missing \"cmd\"")
     in
+    (* Stdin is a line protocol; between commands the file's
+       modification time is polled every [poll] seconds, but no more
+       often than Lineio's 0.1 s select slice: a deadline that has
+       already passed would return before stdin is read. *)
+    let input = Speccc_server.Lineio.create Unix.stdin in
+    let rec loop () =
+      let deadline =
+        if is_file then Some (Unix.gettimeofday () +. Float.max poll 0.1)
+        else None
+      in
+      match
+        Speccc_server.Lineio.next_line ?deadline input ~stop:(fun () -> false)
+      with
+      | Some _ when Speccc_server.Lineio.eof input ->
+        () (* a last line without its newline is an unfinished command *)
+      | Some line ->
+        on_command line;
+        if not !quit then loop ()
+      | None when Speccc_server.Lineio.eof input -> ()
+      | None ->
+        let now = mtime () in
+        if now <> !last_mtime then begin
+          last_mtime := now;
+          match Document.of_file source with
+          | document -> Watch.set_document session document; check ()
+          | exception Sys_error message -> error_event !seq message
+        end;
+        loop ()
+    in
     check ();
-    while not (!quit || !eof) do
-      (match next_line () with
-       | Some line -> on_command line
-       | None ->
-         let timeout = if is_file then poll else -1. in
-         (match Unix.select [ Unix.stdin ] [] [] timeout with
-          | [ _ ], _, _ -> fill ()
-          | _ ->
-            if is_file then begin
-              let now = mtime () in
-              if now <> !last_mtime then begin
-                last_mtime := now;
-                match Document.of_file source with
-                | document -> Watch.set_document session document; check ()
-                | exception Sys_error message -> error_event !seq message
-              end
-            end
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
-    done;
+    loop ();
     if stats then stats_event session
   in
   Cmd.v
@@ -1821,8 +1671,7 @@ let watch_cmd =
               are bit-identical to a cold $(b,speccc check) run.  One \
               JSONL event per check on stdout.";
          ])
-    Term.(const run $ spec_arg $ engine_arg $ lookahead_arg
-          $ time_budget_arg $ poll_arg $ stats_arg)
+    Term.(const run $ spec_arg $ pipeline_options () $ poll_arg $ stats_arg)
 
 (* Exit codes: 0 consistent / success, 1 inconsistent (or lint /
    monitor findings), 2 unknown or degraded verdict, 3 usage or parse

@@ -95,7 +95,6 @@ let manager () =
   }
 
 let set_budget m budget = m.budget <- budget
-let has_budget m = m.budget <> None
 
 let node_count m = Hashtbl.length m.unique
 

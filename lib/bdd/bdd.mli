@@ -37,9 +37,6 @@ val counters : unit -> counters
 (** Process-wide cumulative counters, for [--stats] and health
     reports. *)
 
-val has_budget : manager -> bool
-(** Whether a governor budget is currently installed. *)
-
 val set_budget : manager -> Speccc_runtime.Budget.t option -> unit
 (** Govern this manager: every subsequent node construction spends one
     fuel unit of the budget (stage ["bdd"]), so runaway

@@ -46,6 +46,7 @@ type stage_times = {
 type outcome = {
   requirements : Translate.requirement list;
   formulas : Ltl.t list;
+  assumptions : Ltl.t list;
   time_solution : Timeabs.solution option;
   partition : Partition.analysis;
   report : Realizability.report;
@@ -230,7 +231,31 @@ let active options cache = if governed options then None else cache
 
 let engine_of cache = Option.map (fun c -> c.engine) cache
 
-let check_formulas ?options ?cache ?partition formulas =
+(* The Sec. IV-F heuristic reads requirement shapes, which assumptions
+   do not follow: partition over the guarantees, then adopt
+   assumption-only propositions as inputs (they describe the
+   environment). *)
+let partition_of ~assumptions guarantees =
+  let analysis = Partition.of_requirements guarantees in
+  let known =
+    analysis.Partition.partition.Partition.inputs
+    @ analysis.Partition.partition.Partition.outputs
+  in
+  let extra =
+    List.concat_map Ltl.props assumptions
+    |> List.sort_uniq compare
+    |> List.filter (fun p -> not (List.mem p known))
+  in
+  {
+    analysis with
+    Partition.partition = {
+      analysis.Partition.partition with
+      Partition.inputs =
+        List.sort compare (analysis.Partition.partition.Partition.inputs @ extra);
+    };
+  }
+
+let check_formulas ?options ?cache ?(assumptions = []) ?partition formulas =
   let options =
     match options with Some o -> o | None -> default_options ()
   in
@@ -238,17 +263,19 @@ let check_formulas ?options ?cache ?partition formulas =
   let partition =
     match partition with
     | Some p -> p
-    | None -> (Partition.of_requirements formulas).Partition.partition
+    | None -> (partition_of ~assumptions formulas).Partition.partition
   in
   let report =
-    synthesize options ?explicit_session:(engine_of cache)
+    synthesize options ?explicit_session:(engine_of cache) ~assumptions
       ~inputs:partition.Partition.inputs ~outputs:partition.Partition.outputs
       formulas
   in
   (partition, report)
 
-let consistent ?cache ~options ?partition formulas =
-  let _, report = check_formulas ~options ?cache ?partition formulas in
+let consistent ?cache ~options ?assumptions ?partition formulas =
+  let _, report =
+    check_formulas ~options ?cache ?assumptions ?partition formulas
+  in
   report.Realizability.verdict = Realizability.Consistent
 
 (* Translation front-end shared by {!run} and {!run_document}.  With
@@ -278,6 +305,19 @@ let translate_document options ?parse_cache document =
         diagnostics
     in
     (translation, survivors, diagnostics)
+
+let certify_report options ~assumptions guarantees report =
+  if not options.certify then (report, None)
+  else
+    (* Certification runs on its own reserved budget: it is the
+       engines' fuel that may just have run out, and the validators
+       are cheap by comparison. *)
+    let reserve = Speccc_runtime.Budget.create ~fuel:certify_reserve_fuel () in
+    let report, outcome =
+      Speccc_certify.Certify.apply ~budget:reserve ~assumptions guarantees
+        report
+    in
+    (report, Some outcome)
 
 let run_document ?options ?cache document =
   let options =
@@ -309,31 +349,8 @@ let run_document ?options ?cache document =
          if Document.is_assumption item then None else Some formula)
       tagged
   in
-  (* The Sec. IV-F heuristic reads requirement shapes, which
-     assumptions do not follow — partition over the guarantees, then
-     adopt assumption-only propositions as inputs (they describe the
-     environment). *)
   let partition, partition_s =
-    timed (fun () ->
-        let analysis = Partition.of_requirements guarantees in
-        let known =
-          analysis.Partition.partition.Partition.inputs
-          @ analysis.Partition.partition.Partition.outputs
-        in
-        let extra =
-          List.concat_map Ltl.props assumptions
-          |> List.sort_uniq compare
-          |> List.filter (fun p -> not (List.mem p known))
-        in
-        {
-          analysis with
-          Partition.partition = {
-            analysis.Partition.partition with
-            Partition.inputs =
-              List.sort compare
-                (analysis.Partition.partition.Partition.inputs @ extra);
-          };
-        })
+    timed (fun () -> partition_of ~assumptions guarantees)
   in
   let report, synthesis_s =
     timed (fun () ->
@@ -342,23 +359,12 @@ let run_document ?options ?cache document =
           ~outputs:partition.Partition.partition.Partition.outputs guarantees)
   in
   let report, certificate =
-    if not options.certify then (report, None)
-    else
-      (* Certification runs on its own reserved budget: it is the
-         engines' fuel that may just have run out, and the validators
-         are cheap by comparison. *)
-      let reserve =
-        Speccc_runtime.Budget.create ~fuel:certify_reserve_fuel ()
-      in
-      let report, outcome =
-        Speccc_certify.Certify.apply ~budget:reserve ~assumptions guarantees
-          report
-      in
-      (report, Some outcome)
+    certify_report options ~assumptions guarantees report
   in
   {
     requirements = translation.Translate.requirements;
     formulas;
+    assumptions;
     time_solution;
     partition;
     report;
@@ -369,15 +375,55 @@ let run_document ?options ?cache document =
 
 let run ?options texts = run_document ?options (Document.of_texts texts)
 
+(* Stage 3's subset check over [outcome]'s specification: every
+   assumption stays in the antecedent, so a subset is decided as
+   [∧A → ∧subset] under a partition derived as {!run_document} derives
+   it.  Assumptions inside [subset] are not checked as guarantees. *)
+let subset_consistent ?cache ~options outcome ?partition subset =
+  let assumed f =
+    List.exists (fun a -> Ltl.id a = Ltl.id f) outcome.assumptions
+  in
+  consistent ?cache ~options ~assumptions:outcome.assumptions ?partition
+    (List.filter (fun f -> not (assumed f)) subset)
+
 let localize ?cache ~options outcome =
   match outcome.report.Realizability.verdict with
   | Realizability.Inconsistent ->
     let cache = active options cache in
-    Localize.run
-      ?memo:(Option.map (fun c -> c.memo) cache)
-      ~check:(consistent ?cache ~options)
+    (* The memo is keyed by the subset's formulas alone, so it is only
+       sound when no assumption rides along in the check. *)
+    let memo =
+      if outcome.assumptions <> [] then None
+      else Option.map (fun c -> c.memo) cache
+    in
+    Localize.run ?memo
+      ~check:(subset_consistent ?cache ~options outcome)
       outcome.formulas
   | Realizability.Consistent | Realizability.Inconclusive _ -> None
+
+let refine ~options outcome =
+  Refine.suggest
+    ~check_subset:(subset_consistent ~options outcome)
+    ~check_partition:(fun partition ->
+      subset_consistent ~options outcome ~partition outcome.formulas)
+    ~partition:outcome.partition.Partition.partition outcome.formulas
+
+let pp_verdict ppf (report : Realizability.report) =
+  let verdict =
+    match report.Realizability.verdict with
+    | Realizability.Consistent -> "CONSISTENT (realizable)"
+    | Realizability.Inconsistent -> "INCONSISTENT (unrealizable)"
+    | Realizability.Inconclusive why -> "INCONCLUSIVE: " ^ why
+  in
+  Format.fprintf ppf "@[<v>verdict: %s (engine: %s, %.3fs)" verdict
+    report.Realizability.engine_used report.Realizability.wall_time;
+  List.iter
+    (fun rung ->
+       Format.fprintf ppf "@,degraded: %s — %s (%.3fs)"
+         rung.Realizability.rung_engine rung.Realizability.rung_outcome
+         rung.Realizability.rung_wall)
+    (Realizability.canonical_degradation report);
+  Format.fprintf ppf "@]"
 
 let pp_outcome ppf outcome =
   Format.fprintf ppf "@[<v>";
@@ -389,21 +435,7 @@ let pp_outcome ppf outcome =
    | None -> Format.fprintf ppf "time abstraction: none needed@,");
   Format.fprintf ppf "%a@," Partition.pp
     outcome.partition.Partition.partition;
-  let verdict =
-    match outcome.report.Realizability.verdict with
-    | Realizability.Consistent -> "CONSISTENT (realizable)"
-    | Realizability.Inconsistent -> "INCONSISTENT (unrealizable)"
-    | Realizability.Inconclusive why -> "INCONCLUSIVE: " ^ why
-  in
-  Format.fprintf ppf "verdict: %s (engine: %s, %.3fs)" verdict
-    outcome.report.Realizability.engine_used
-    outcome.report.Realizability.wall_time;
-  List.iter
-    (fun rung ->
-       Format.fprintf ppf "@,degraded: %s — %s (%.3fs)"
-         rung.Realizability.rung_engine rung.Realizability.rung_outcome
-         rung.Realizability.rung_wall)
-    (Realizability.canonical_degradation outcome.report);
+  pp_verdict ppf outcome.report;
   List.iter
     (fun (id, diag) ->
        Format.fprintf ppf "@,skipped %s: %a" id

@@ -64,6 +64,9 @@ type outcome = {
   requirements : Speccc_translate.Translate.requirement list;
   formulas : Speccc_logic.Ltl.t list;
       (** after time abstraction, in requirement order *)
+  assumptions : Speccc_logic.Ltl.t list;
+      (** the members of [formulas] that are environment assumptions
+          ({!Document.is_assumption}), in document order *)
   time_solution : Speccc_timeabs.Timeabs.solution option;
   partition : Speccc_partition.Partition.analysis;
   report : Speccc_synthesis.Realizability.report;
@@ -124,32 +127,56 @@ val run_document : ?options:options -> ?cache:cache -> Document.t -> outcome
     space.  [outcome.formulas] lists every formula in document
     order. *)
 
+val certify_report :
+  options ->
+  assumptions:Speccc_logic.Ltl.t list ->
+  Speccc_logic.Ltl.t list ->
+  Speccc_synthesis.Realizability.report ->
+  Speccc_synthesis.Realizability.report
+  * Speccc_certify.Certify.outcome option
+(** With [options.certify] set, validate [report]'s witness with
+    {!Speccc_certify.Certify.apply} on a reserved fuel budget of its
+    own, as {!run_document} does; otherwise [(report, None)]. *)
+
 val check_formulas :
   ?options:options ->
   ?cache:cache ->
+  ?assumptions:Speccc_logic.Ltl.t list ->
   ?partition:Speccc_partition.Partition.t ->
   Speccc_logic.Ltl.t list ->
   Speccc_partition.Partition.t * Speccc_synthesis.Realizability.report
-(** Stage 2 only: partition (unless given) and synthesis over formulas
-    that are already in LTL.  Used for specifications authored
-    directly in LTL. *)
+(** Stage 2 only: partition (unless given, derived as {!run_document}
+    derives it) and synthesis of [∧assumptions → ∧formulas] over
+    formulas that are already in LTL.  Used for specifications
+    authored directly in LTL. *)
 
 val consistent :
   ?cache:cache ->
   options:options ->
+  ?assumptions:Speccc_logic.Ltl.t list ->
   ?partition:Speccc_partition.Partition.t ->
   Speccc_logic.Ltl.t list ->
   bool
 (** The stage-3 subset check: {!check_formulas} (re-deriving the
     partition for the subset unless one is given) reports
-    [Consistent].  Every localization and refinement loop decides its
-    subsets with this. *)
+    [Consistent]. *)
 
 val localize :
   ?cache:cache -> options:options -> outcome -> Localize.result option
 (** Stage 3: when [outcome]'s verdict is [Inconsistent], locate the
-    culprit and its partners with {!Localize.run} over {!consistent};
-    [None] otherwise.  Indices count [outcome.formulas], i.e. the
-    requirements that survived translation. *)
+    culprit and its partners with {!Localize.run}; [None] otherwise.
+    Every subset is checked with all of [outcome.assumptions] as its
+    antecedent, so assumptions are never culprits or partners.
+    Indices count [outcome.formulas], i.e. the requirements that
+    survived translation. *)
+
+val refine : options:options -> outcome -> Refine.suggestion
+(** Stage 3 with partition advice: {!Refine.suggest} over the same
+    subset check as {!localize}, adjusting [outcome]'s partition. *)
+
+val pp_verdict :
+  Format.formatter -> Speccc_synthesis.Realizability.report -> unit
+(** The verdict line, then one [degraded:] line per abandoned ladder
+    rung; {!pp_outcome} prints it after the earlier stages. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -17,7 +17,9 @@
       warm-started next to its fixpoint;
     - localization subset verdicts are memoized across checks
       ({!Localize.memo}), so re-localizing after an edit re-checks
-      only subsets that mention an edited formula;
+      only subsets that mention an edited formula (not for documents
+      with environment assumptions, whose subset checks depend on
+      more than the subset);
     - definite whole-document verdicts are kept in a content-addressed
       LRU, so reverting an edit is a cache hit.
 

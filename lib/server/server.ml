@@ -64,21 +64,11 @@ let default_config () =
     store = None;
   }
 
-(* Wire the persistent verdict store into the harness hooks: lookups
-   and puts key on content identity salted with the option fields that
-   change the checked formulas.  Per-request overrides (fuel, deadline,
-   skipped rungs) never touch the salt — they affect whether a definite
-   verdict is reached, not which one is true. *)
+(* Wire the persistent verdict store into the harness hooks. *)
 let harness_with_store config =
   match config.store with
   | None -> config.harness
-  | Some store ->
-    let salt = Store.salt_of_options config.harness.Harness.options in
-    { config.harness with
-      Harness.store_find =
-        Some (fun doc -> Store.find store (Store.key ~salt doc));
-      store_put =
-        Some (fun doc result -> Store.put store ~key:(Store.key ~salt doc) result) }
+  | Some store -> Store.attach store config.harness
 
 type stats = {
   served : int;

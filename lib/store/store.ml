@@ -429,6 +429,16 @@ let put t ~key result =
           | None -> ());
           if t.dead >= t.compact_threshold then compact_locked t)
 
+(* Lookups and puts key on content identity salted with the option
+   fields that change the checked formulas.  Per-request overrides
+   (fuel, deadline, skipped rungs) never touch the salt: they affect
+   whether a definite verdict is reached, not which one is true. *)
+let attach t (config : Harness.config) =
+  let salt = salt_of_options config.Harness.options in
+  { config with
+    Harness.store_find = Some (fun doc -> find t (key ~salt doc));
+    store_put = Some (fun doc result -> put t ~key:(key ~salt doc) result) }
+
 let compact t = locked t (fun () -> compact_locked t)
 
 (* ---------- anytime snapshot records ---------- *)

@@ -101,6 +101,12 @@ val put : t -> key:string -> Speccc_harness.Harness.doc_result -> unit
     stays a faithful history.  Announces the [store.append] fault
     checkpoint before writing. *)
 
+val attach :
+  t -> Speccc_harness.Harness.config -> Speccc_harness.Harness.config
+(** [config] with its store hooks answered from and appended to the
+    store, under {!key} salted with {!salt_of_options} of
+    [config.options]. *)
+
 val put_snapshot : t -> key:string -> Speccc_runtime.Snapshot.t -> unit
 (** Append an anytime-snapshot record: the progress frontier of a
     preempted check, keyed like its verdict would be.  Snapshot

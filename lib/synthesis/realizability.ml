@@ -265,9 +265,11 @@ let spec_of ~assumptions requirements =
   | [] -> guarantees
   | _ -> Ltl.implies (Ltl.conj_list assumptions) guarantees
 
-let check ?(engine = Auto) ?(lookahead = 6) ?(bound = 8)
-    ?(explicit_prop_limit = 12) ?(assumptions = []) ?explicit_session ~inputs
-    ~outputs requirements =
+(* Auto's threshold on |inputs| + |outputs| for the explicit engine. *)
+let explicit_prop_limit = 12
+
+let check ?(engine = Auto) ?(lookahead = 6) ?(bound = 8) ?(assumptions = [])
+    ?explicit_session ~inputs ~outputs requirements =
   let spec = spec_of ~assumptions requirements in
   let chosen =
     match engine with
@@ -307,9 +309,7 @@ let stage_name = function
   | `Sat -> "sat"
 
 let check_governed ?budget ?(engine = Auto) ?(lookahead = 6) ?(bound = 8)
-    ?(explicit_prop_limit = 12) ?(skip = []) ?(assumptions = []) ~inputs
-    ~outputs requirements =
-  ignore explicit_prop_limit;
+    ?(skip = []) ?(assumptions = []) ~inputs ~outputs requirements =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let spec = spec_of ~assumptions requirements in
   let run_stage stage rung_budget =

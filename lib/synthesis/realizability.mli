@@ -77,11 +77,6 @@ val emit_core : int list -> int list
     pipeline's lint floor; exposed so every witness emission point
     shares one drill mechanism). *)
 
-val dedup_degradation : rung list -> rung list
-(** Keep the first rung per engine, preserving order — the
-    once-per-engine invariant {!check_governed} maintains, exposed for
-    callers that append rungs themselves. *)
-
 val canonical_degradation : report -> rung list
 (** The degradation log in canonical rendering order: deduplicated,
     stably sorted by ladder position (symbolic, explicit, sat, lint,
@@ -92,7 +87,6 @@ val check :
   ?engine:engine ->
   ?lookahead:int ->
   ?bound:int ->
-  ?explicit_prop_limit:int ->
   ?assumptions:Speccc_logic.Ltl.t list ->
   ?explicit_session:Bounded.session ->
   inputs:string list ->
@@ -102,8 +96,8 @@ val check :
 (** [check ~inputs ~outputs requirements].  Defaults: [engine = Auto],
     [lookahead = 6] (bounded-eventuality depth for the symbolic
     engine), [bound = 8] (maximal counting bound for the explicit
-    engine), [explicit_prop_limit = 12] (Auto threshold on
-    [|inputs| + |outputs|]).
+    engine); [Auto] takes the explicit engine when
+    [|inputs| + |outputs| <= 12].
 
     [explicit_session] opts assumption-free checks that land on the
     explicit engine into {!Bounded.solve_conj_iterative}'s session-
@@ -127,7 +121,6 @@ val check_governed :
   ?engine:engine ->
   ?lookahead:int ->
   ?bound:int ->
-  ?explicit_prop_limit:int ->
   ?skip:string list ->
   ?assumptions:Speccc_logic.Ltl.t list ->
   inputs:string list ->

@@ -264,6 +264,28 @@ let test_assumptions_rescue_realizability () =
   Alcotest.(check bool) "realizable under the assumption" true
     (is_consistent with_assumption.Pipeline.report)
 
+let test_localize_keeps_assumptions () =
+  (* R1 and R2 conflict unless the assumption (stated last) holds, so a
+     subset checked without it would blame R2; R3 is the real culprit. *)
+  let document =
+    Document.parse
+      "R1: If the lock is active, the grant is disabled.\n\
+       R2: If the request is available, the grant is enabled.\n\
+       R3: If the lock is active, the grant is enabled.\n\
+       Assume-1: The lock is inactive or the request is lost.\n"
+  in
+  let outcome = Pipeline.run_document ~options:explicit_options document in
+  Alcotest.(check bool) "inconsistent" false
+    (is_consistent outcome.Pipeline.report);
+  match Pipeline.localize ~options:explicit_options outcome with
+  | None -> Alcotest.fail "no localization"
+  | Some result ->
+    Alcotest.(check int) "culprit R3" 2 result.Localize.culprit;
+    Alcotest.(check (list int)) "partner R1" [ 0 ] result.Localize.partners;
+    let suggestion = Pipeline.refine ~options:explicit_options outcome in
+    Alcotest.(check (option int)) "refine agrees" (Some 2)
+      (Option.map (fun l -> l.Localize.culprit) suggestion.Refine.localization)
+
 let test_assumption_detection () =
   let document =
     Document.parse
@@ -504,6 +526,8 @@ let () =
           Alcotest.test_case "rescue realizability" `Quick
             test_assumptions_rescue_realizability;
           Alcotest.test_case "detection" `Quick test_assumption_detection;
+          Alcotest.test_case "localize keeps assumptions" `Quick
+            test_localize_keeps_assumptions;
           Alcotest.test_case "bus arbiter" `Slow test_arbiter;
         ] );
       ( "determinism",
