@@ -396,8 +396,8 @@ let localize_bench () =
 (* Per-instance wall times for the automaton construction over many
    distinct instances of each catalogue template, on both routes: the
    template compiler (one tableau per shape, atom substitution after)
-   and the raw GPVW tableau (forced by a governed call, which bypasses
-   every cache).  Distributions are skewed — the template route pays
+   and the raw GPVW tableau ([Nbw.tableau], which bypasses the shape
+   cache).  Distributions are skewed — the template route pays
    one expensive compile then streams cheap instantiations — so the
    table reports p50/p95 per group rather than a mean. *)
 
@@ -452,11 +452,7 @@ let template_bench () =
            (percentile sorted 0.95 *. 1e6)
        in
        run "template" (fun f -> Speccc_automata.Nbw.of_ltl f);
-       run "tableau"
-         (fun f ->
-            Speccc_automata.Nbw.of_ltl
-              ~budget:(Speccc_runtime.Budget.create ~fuel:10_000_000 ())
-              f))
+       run "tableau" (fun f -> Speccc_automata.Nbw.tableau f))
     template_families
 
 (* ---------- edit latency (watch sessions) ---------- *)

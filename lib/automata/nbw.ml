@@ -52,7 +52,6 @@ let build_tableau ?budget formula =
      | Some budget ->
        Speccc_runtime.Budget.checkpoint budget ~stage:"tableau"
      | None -> ());
-    Speccc_runtime.Fault.hit Speccc_runtime.Fault.Checkpoint.tableau_expand;
     incr counter; !counter
   in
   let completed : node list ref = ref [] in
@@ -179,7 +178,7 @@ let build_tableau ?budget formula =
   }
   in
   expand root;
-  !completed
+  (!completed, !counter)
 
 let literals_of_old old =
   Ltl.Set.fold
@@ -199,12 +198,13 @@ let until_subformulas formula =
     (Ltl.subformulas formula)
 
 (* Build the generalized Büchi automaton, then degeneralize with the
-   usual acceptance counter. *)
+   usual acceptance counter.  Also returns the tableau's node count,
+   the fuel the construction cost. *)
 let build ?budget formula =
   (* Interning the core makes the tableau's many [Ltl.Set] operations
      short-circuit on physical equality of shared subterms. *)
   let core = Ltl.intern (to_core formula) in
-  let nodes = build_tableau ?budget core in
+  let nodes, cost = build_tableau ?budget core in
   let untils = until_subformulas core in
   (* Map tableau ids to dense indices; index 0 is the dedicated initial
      state (GPVW's "init" pseudo-node). *)
@@ -279,27 +279,16 @@ let build ?budget formula =
       String_set.empty transitions
     |> String_set.elements
   in
-  {
-    num_states;
-    initial = [ state_index 0 0 ];
-    accepting;
-    transitions;
-    atoms;
-  }
+  ( {
+      num_states;
+      initial = [ state_index 0 0 ];
+      accepting;
+      transitions;
+      atoms;
+    },
+    cost )
 
-(* The automaton for a formula is deterministic in the formula alone,
-   so ungoverned construction is memoized by formula id.  Two callers
-   must bypass the cache: a [Some] budget (fuel is charged per tableau
-   node, and a cached automaton would skip those checkpoints — the
-   deterministic-exhaustion tests rely on them), and an armed fault
-   plan (checkpoint hit counts must see every expansion). *)
-
-module C = Speccc_cache.Cache.Make (Speccc_cache.Cache.Int_key)
-
-let table =
-  C.create_dls ~name:"nbw.of_ltl"
-    ~capacity:(Speccc_cache.Cache.capacity ~name:"nbw.of_ltl" ~default:256)
-    ()
+let tableau ?budget formula = fst (build ?budget formula)
 
 (* Template-compiled automata: formulas that instantiate a catalogue
    template shape ([Template.abstract]) share one compiled automaton
@@ -307,7 +296,12 @@ let table =
    which is linear in the automaton instead of exponential in the
    formula.  The shape cache ["nbw.template"] keys on the canonical
    formula's id; its hits count instantiations that bypassed the
-   tableau, its misses count shape compilations. *)
+   tableau, its misses count shape compilations.  Each entry keeps
+   the node count of the tableau that compiled it, and a hit charges
+   that count as fuel, so a budget spends the same whether the cache
+   was warm, cold, shed or disabled. *)
+
+module C = Speccc_cache.Cache.Make (Speccc_cache.Cache.Int_key)
 
 let template_table =
   C.create_dls ~name:"nbw.template"
@@ -328,29 +322,25 @@ let rename_atoms mapping auto =
     atoms = List.sort_uniq compare (List.map rename auto.atoms);
   }
 
-let of_template formula =
+let of_ltl ?budget formula =
+  Speccc_runtime.Fault.hit Speccc_runtime.Fault.Checkpoint.tableau_expand;
   match Template.abstract formula with
-  | None -> None
+  | None -> tableau ?budget formula
   | Some { Template.canonical; mapping; _ } ->
-    let compiled =
+    let built = ref false in
+    let compiled, cost =
       C.memo
         (Domain.DLS.get template_table)
         (Ltl.id canonical)
-        (fun () -> build canonical)
+        (fun () -> built := true; build ?budget canonical)
     in
-    Some (rename_atoms mapping compiled)
-
-let of_ltl ?budget formula =
-  match budget with
-  | Some _ -> build ?budget formula
-  | None ->
-    if Speccc_runtime.Fault.active () then build formula
-    else
-      C.memo (Domain.DLS.get table) (Ltl.id formula)
-        (fun () ->
-           match of_template formula with
-           | Some auto -> auto
-           | None -> build formula)
+    (match budget with
+     | Some budget when not !built ->
+       for _ = 1 to cost do
+         Speccc_runtime.Budget.checkpoint budget ~stage:"tableau"
+       done
+     | Some _ | None -> ());
+    rename_atoms mapping compiled
 
 let guard_holds guard assignment =
   List.for_all

@@ -21,22 +21,25 @@ type t = {
 }
 
 val of_ltl : ?budget:Speccc_runtime.Budget.t -> Speccc_logic.Ltl.t -> t
-(** Büchi automaton accepting exactly the models of the formula.  When
-    [budget] is given, one fuel unit is spent per tableau node (stage
-    ["tableau"]) and exhaustion raises
-    [Speccc_runtime.Runtime.Interrupt]; the fault checkpoint
-    ["tableau.expand"] is announced per node.
+(** Büchi automaton accepting exactly the models of the formula.  One
+    path serves every caller, governed or not: a formula that
+    instantiates a catalogue template shape ({!Template.abstract}) is
+    served by atom substitution into one compiled automaton per shape
+    (per-domain cache ["nbw.template"]); any other formula runs
+    {!tableau}.
 
-    Ungoverned construction (no [budget], no armed fault plan) is
-    memoized per domain by formula id (cache ["nbw.of_ltl"]), so
-    repeated translations of the same formula — e.g. across the
-    bound-escalation loops of the explicit and SAT engines — are
-    free.  On a formula-cache miss, formulas that instantiate a
-    catalogue template shape ({!Template.abstract}) are served by atom
-    substitution into one compiled automaton per shape (cache
-    ["nbw.template"]) instead of running the tableau.  Governed calls
-    always rebuild, preserving per-node fuel accounting and
-    fault-checkpoint hit counts. *)
+    When [budget] is given, a shape compilation or a tableau spends
+    one fuel unit per tableau node (stage ["tableau"]), and a shape
+    served from the cache spends the node count its compilation cost,
+    so the fuel spent does not depend on the cache's state (warm,
+    cold, shed or disabled).  Exhaustion raises
+    [Speccc_runtime.Runtime.Interrupt].  The fault checkpoint
+    ["tableau.expand"] is announced once per call. *)
+
+val tableau : ?budget:Speccc_runtime.Budget.t -> Speccc_logic.Ltl.t -> t
+(** The GPVW construction itself, with no cache and no fault
+    checkpoint: the reference the template route is tested and
+    benchmarked against.  [budget] is charged one unit per node. *)
 
 val guard_holds : guard -> (string * bool) list -> bool
 (** Is the guard enabled by the (total or partial, missing = false)

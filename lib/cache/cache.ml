@@ -27,14 +27,10 @@ let set_enabled value = Atomic.set enabled_flag value
    One place to size every named cache: call sites pass their
    historical size as [default] and this table overrides it, so tuning
    a cache budget is a one-line change here instead of a hunt across
-   libraries.  The automaton cache is the big one: 256 entries
-   thrashed on specifications with a few hundred distinct requirement
-   formulas — every negation, every bounded-liveness rewrite and every
-   localize subset is its own key. *)
+   libraries. *)
 
 let capacities =
-  [ ("nbw.of_ltl", 16384); ("nbw.template", 1024); ("nlp.parse", 2048);
-    ("watch.verdict", 128) ]
+  [ ("nbw.template", 1024); ("nlp.parse", 2048); ("watch.verdict", 128) ]
 
 let capacity ~name ~default =
   match List.assoc_opt name capacities with

@@ -8,7 +8,7 @@
     show that verdicts do not depend on memoization. *)
 
 type stats = {
-  name : string;        (** registration name, e.g. ["nbw.of_ltl"] *)
+  name : string;        (** registration name, e.g. ["nbw.template"] *)
   hits : int;
   misses : int;
   evictions : int;

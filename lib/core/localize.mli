@@ -46,7 +46,7 @@ val run :
   Speccc_logic.Ltl.t list ->
   result option
 (** [run ~check formulas]: [check] decides consistency of a subset
-    (typically realizability under a re-derived partition).  Returns
+    (typically realizability under the document's partition).  Returns
     [None] when the whole specification is consistent.  A requirement
     that is inconsistent on its own is reported as culprit with an
     empty partner set.
@@ -60,7 +60,7 @@ val run :
     subset whose formula-id set was decided by an earlier run (e.g.
     before an unrelated edit) is answered without invoking [check],
     which must therefore also be stable across those runs (same
-    engine options; the partition is a function of the subset).
+    engine options, same partition and assumptions).
 
     [snapshot] makes the run {e anytime}: every decided subset is
     published to the slot (engine ["localize"], decided subsets keyed

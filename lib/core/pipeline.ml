@@ -377,26 +377,32 @@ let run ?options texts = run_document ?options (Document.of_texts texts)
 
 (* Stage 3's subset check over [outcome]'s specification: every
    assumption stays in the antecedent, so a subset is decided as
-   [∧A → ∧subset] under a partition derived as {!run_document} derives
-   it.  Assumptions inside [subset] are not checked as guarantees. *)
-let subset_consistent ?cache ~options outcome ?partition subset =
+   [∧A → ∧subset], under the document's partition (unless another is
+   given) restricted to the propositions the check mentions.  A
+   requirement checked alone thus keeps its outputs.  Assumptions
+   inside [subset] are not checked as guarantees. *)
+let subset_consistent ?cache ~options outcome
+    ?(partition = outcome.partition.Partition.partition) subset =
   let assumed f =
     List.exists (fun a -> Ltl.id a = Ltl.id f) outcome.assumptions
   in
-  consistent ?cache ~options ~assumptions:outcome.assumptions ?partition
-    (List.filter (fun f -> not (assumed f)) subset)
+  let guarantees = List.filter (fun f -> not (assumed f)) subset in
+  let props = List.concat_map Ltl.props (outcome.assumptions @ guarantees) in
+  let mentioned = List.filter (fun p -> List.mem p props) in
+  consistent ?cache ~options ~assumptions:outcome.assumptions
+    ~partition:
+      {
+        Partition.inputs = mentioned partition.Partition.inputs;
+        outputs = mentioned partition.Partition.outputs;
+      }
+    guarantees
 
 let localize ?cache ~options outcome =
   match outcome.report.Realizability.verdict with
   | Realizability.Inconsistent ->
     let cache = active options cache in
-    (* The memo is keyed by the subset's formulas alone, so it is only
-       sound when no assumption rides along in the check. *)
-    let memo =
-      if outcome.assumptions <> [] then None
-      else Option.map (fun c -> c.memo) cache
-    in
-    Localize.run ?memo
+    Localize.run
+      ?memo:(Option.map (fun c -> c.memo) cache)
       ~check:(subset_consistent ?cache ~options outcome)
       outcome.formulas
   | Realizability.Consistent | Realizability.Inconclusive _ -> None

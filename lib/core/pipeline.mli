@@ -108,7 +108,9 @@ type cache = {
     through every check.  Every store is content-addressed, so a
     cached run is bit-identical to a run with a fresh cache on the
     same input.  Keep one cache per [options] value: the memo's
-    verdicts are only valid under the options that produced them.
+    verdicts are only valid under the options that produced them, and
+    under the document partition and assumptions {!localize} checked
+    them with (a {!Watch} session clears the memo when those change).
     The cache is consulted only when [not (governed options)]; a
     governed run ignores it and runs cold. *)
 
@@ -157,16 +159,18 @@ val consistent :
   ?partition:Speccc_partition.Partition.t ->
   Speccc_logic.Ltl.t list ->
   bool
-(** The stage-3 subset check: {!check_formulas} (re-deriving the
-    partition for the subset unless one is given) reports
-    [Consistent]. *)
+(** {!check_formulas} (deriving the partition from the formulas unless
+    one is given) reports [Consistent]. *)
 
 val localize :
   ?cache:cache -> options:options -> outcome -> Localize.result option
 (** Stage 3: when [outcome]'s verdict is [Inconsistent], locate the
     culprit and its partners with {!Localize.run}; [None] otherwise.
     Every subset is checked with all of [outcome.assumptions] as its
-    antecedent, so assumptions are never culprits or partners.
+    antecedent, so assumptions are never culprits or partners, and
+    under [outcome]'s partition restricted to the propositions the
+    check mentions, so a requirement keeps its outputs when checked
+    alone.
     Indices count [outcome.formulas], i.e. the requirements that
     survived translation. *)
 

@@ -37,6 +37,9 @@ type session = {
   mutable last_ids : int list;
       (* sorted hash-cons ids of the document's formulas at the last
          check that ran the pipeline — the invalidation baseline *)
+  mutable memo_basis : (Speccc_partition.Partition.t * int list) option;
+      (* the document partition and assumption ids the localization
+         memo's verdicts were decided under *)
   mutable seq : int;
   mutable checks : int;
   mutable verdict_hits : int;
@@ -57,6 +60,7 @@ let create ?options doc =
           (Speccc_cache.Cache.capacity ~name:"watch.verdict" ~default:128)
         ();
     last_ids = [];
+    memo_basis = None;
     seq = 0;
     checks = 0;
     verdict_hits = 0;
@@ -151,6 +155,21 @@ let prune session formulas =
     dropped
   end
 
+(* Stage 3 decides every subset under the document's partition and
+   with its assumptions as antecedent, so an edit that changes either
+   voids every memoized subset verdict that mentions a formula. *)
+let rebase_memo session (outcome : Pipeline.outcome) =
+  let basis =
+    Some
+      ( outcome.Pipeline.partition.Speccc_partition.Partition.partition,
+        List.map Ltl.id outcome.Pipeline.assumptions )
+  in
+  if basis = session.memo_basis then 0
+  else begin
+    session.memo_basis <- basis;
+    Localize.prune_memo session.cache.Pipeline.memo ~retain:(fun _ -> false)
+  end
+
 let run session =
   let parse_hits0 = cache_hits "nlp.parse" in
   let engine0 = Bounded.session_stats session.cache.Pipeline.engine in
@@ -158,10 +177,11 @@ let run session =
     Pipeline.run_document ~options:session.options ~cache:session.cache
       session.doc
   in
+  let rebased = rebase_memo session outcome in
   let localization =
     Pipeline.localize ~options:session.options ~cache:session.cache outcome
   in
-  let invalidated = prune session outcome.Pipeline.formulas in
+  let invalidated = rebased + prune session outcome.Pipeline.formulas in
   session.invalidated_total <- session.invalidated_total + invalidated;
   let engine1 = Bounded.session_stats session.cache.Pipeline.engine in
   ( outcome,

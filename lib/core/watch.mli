@@ -17,9 +17,9 @@
       warm-started next to its fixpoint;
     - localization subset verdicts are memoized across checks
       ({!Localize.memo}), so re-localizing after an edit re-checks
-      only subsets that mention an edited formula (not for documents
-      with environment assumptions, whose subset checks depend on
-      more than the subset);
+      only subsets that mention an edited formula; an edit that
+      changes the document's partition or its assumptions clears the
+      memo, since every subset is checked under both;
     - definite whole-document verdicts are kept in a content-addressed
       LRU, so reverting an edit is a cache hit.
 
@@ -49,9 +49,10 @@ type reuse = {
   blocks_reused : int;  (** arena blocks reused by the explicit engine *)
   solo_reused : int;    (** solo frontiers reused by the explicit engine *)
   invalidated : int;
-      (** stale localization-memo entries dropped after the edit
-          (engine blocks for edited-away formulas are pruned
-          alongside) *)
+      (** stale localization-memo entries dropped by the edit: those
+          about edited-away formulas (engine blocks for them are
+          pruned alongside), or all of them when the partition or the
+          assumptions changed *)
 }
 (** What one {!check} reused from — and invalidated in — the session. *)
 

@@ -55,8 +55,6 @@ let install ?(seed = 0) triggers =
 
 let clear () = locked (fun () -> state := None)
 
-let active () = locked (fun () -> !state <> None)
-
 let hits name =
   locked (fun () ->
       match !state with
@@ -191,7 +189,7 @@ module Checkpoint = struct
   let sat_solve = register "sat.solve" "CDCL solver entry (lib/sat)"
   let tableau_expand =
     register "tableau.expand"
-      "each GPVW tableau node expansion (lib/automata)"
+      "each LTL-to-NBW construction, template hit or tableau (lib/automata)"
   let bdd_fixpoint =
     register "bdd.fixpoint" "each symbolic obligation-game fixpoint round"
   let engine_symbolic =

@@ -45,8 +45,6 @@ val install : ?seed:int -> trigger list -> unit
 val clear : unit -> unit
 (** Disarm all triggers and reset hit counters. *)
 
-val active : unit -> bool
-
 val hit : string -> unit
 (** Announce a checkpoint.  No-op (one read) when no plan is
     installed; otherwise counts the hit and performs a matching

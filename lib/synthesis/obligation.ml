@@ -92,13 +92,7 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
   (* Reordering trigger: once the unique table outgrows this, the
      fixpoint reorders at the next round boundary.  Governed runs never
      reorder (sifting would perturb fuel accounting). *)
-  (match
-     match Sys.getenv_opt "SPECCC_BDD_REORDER" with
-     | Some raw -> int_of_string_opt raw
-     | None -> Some 150_000
-   with
-   | Some 0 | None -> ()
-   | Some threshold -> Bdd.set_reorder_threshold manager (Some threshold));
+  Bdd.set_reorder_threshold manager (Some 150_000);
   let props = inputs @ outputs in
   let num_props = List.length props in
   let prop_var =
@@ -171,17 +165,9 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
            (z_var ~num_props j, z_next_var ~num_props j)))
       w
   in
-  (* Controllable predecessor: ∀ inputs ∃ outputs, next obligations.
-     The conjunction with the transition relation is built once per
-     fixpoint round. *)
-  (* Controllable predecessor with early quantification: walk the
-     next-state variables top-down; each obligation conjunct joins at
-     the bucket of its highest next-state variable, and the variable is
-     eliminated immediately afterwards, so no monolithic transition
-     relation is ever built. *)
-  let debug = Sys.getenv_opt "SPECCC_DEBUG" <> None in
-  (* Controllable predecessor by bucket elimination (as in symbolic
-     model checkers with partitioned transition relations): every
+  (* Controllable predecessor (∀ inputs ∃ outputs, next obligations)
+     by bucket elimination (as in symbolic model checkers with
+     partitioned transition relations): every
      conjunct sits in the bucket of its highest quantifiable variable
      (outputs and next-state bits); eliminating top-down keeps
      independent requirement clusters factored instead of building one
@@ -204,24 +190,16 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
     in
     List.iter place conjuncts;
     place target;
-    let peak = ref 0 in
     for v = max_quantifiable downto 0 do
       if is_quantifiable v then begin
         match buckets.(v) with
         | [] -> ()
         | items ->
           let combined = Bdd.and_list manager items in
-          let quantified = Bdd.exists manager [ v ] combined in
-          if debug then peak := max !peak (Bdd.size combined);
-          place quantified
+          place (Bdd.exists manager [ v ] combined)
       end
     done;
-    let all = Bdd.and_list manager !residual in
-    let result = Bdd.forall manager input_vars all in
-    if debug then
-      Printf.eprintf "  cpre: peak bucket=%d residual=%d result=%d nodes=%d\n%!"
-        !peak (Bdd.size all) (Bdd.size result) (Bdd.node_count manager);
-    result
+    Bdd.forall manager input_vars (Bdd.and_list manager !residual)
   in
   let z_groups =
     List.init num_obligations (fun j ->
@@ -267,11 +245,7 @@ let solve ?budget ?snapshot_base ~inputs ~outputs spec =
         | None -> ());
        Speccc_runtime.Budget.checkpoint budget ~stage:"symbolic"
      | None -> ());
-    let t0 = Unix.gettimeofday () in
     let w' = Bdd.and_ manager w (cpre conjuncts w) in
-    if debug then
-      Printf.eprintf "round %d: |W|=%d -> %d (%.2fs)\n%!" rounds (Bdd.size w)
-        (Bdd.size w') (Unix.gettimeofday () -. t0);
     if Bdd.equal w w' then (w, rounds)
     else
       let conjuncts, w' = maybe_reorder conjuncts w' in

@@ -137,34 +137,101 @@ let prop_template_matches_tableau =
        if Template.abstract f = None then
          QCheck2.Test.fail_report "generator produced a non-template shape";
        let templated = Nbw.of_ltl f in
-       (* a governed call bypasses both caches and runs the tableau *)
-       let tableau =
-         Nbw.of_ltl ~budget:(Speccc_runtime.Budget.create ~fuel:1_000_000 ()) f
-       in
+       let tableau = Nbw.tableau f in
        List.for_all
          (fun w ->
             Nbw.accepts_lasso templated w = Nbw.accepts_lasso tableau w)
          words)
 
+let template_hits () =
+  match
+    List.find_opt
+      (fun s -> s.Speccc_cache.Cache.name = "nbw.template")
+      (Speccc_cache.Cache.stats ())
+  with
+  | Some s -> s.Speccc_cache.Cache.hits
+  | None -> 0
+
 let test_template_sharing () =
-  let hits () =
-    match
-      List.find_opt
-        (fun s -> s.Speccc_cache.Cache.name = "nbw.template")
-        (Speccc_cache.Cache.stats ())
-    with
-    | Some s -> s.Speccc_cache.Cache.hits
-    | None -> 0
-  in
   let first = Nbw.of_ltl (parse "G (tpl_p -> F tpl_q)") in
-  let before = hits () in
+  let before = template_hits () in
   let second = Nbw.of_ltl (parse "G (tpl_r -> F tpl_s)") in
   Alcotest.(check bool) "second instance served from the compiled shape" true
-    (hits () > before);
+    (template_hits () > before);
   Alcotest.(check int) "instances share the shape's state count"
     first.Nbw.num_states second.Nbw.num_states;
   Alcotest.(check (slist string compare)) "atoms substituted"
     [ "tpl_r"; "tpl_s" ] second.Nbw.atoms
+
+(* --- one path for governed calls --- *)
+
+module Budget = Speccc_runtime.Budget
+module Cache = Speccc_cache.Cache
+module Fault = Speccc_runtime.Fault
+
+let fuel_of f =
+  let budget = Budget.unlimited () in
+  ignore (Nbw.of_ltl ~budget f);
+  Budget.spent budget
+
+(* Random formulas from the fuzzer's generator (mostly off-template)
+   and catalogue instances (always on-template). *)
+let governed_formula_gen =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map
+        (fun seed ->
+           Speccc_diffcheck.Gen.formula
+             (Speccc_diffcheck.Prng.make seed)
+             ~props:prop_names ~depth:3)
+        int;
+      template_formula_gen;
+    ]
+
+let prop_fuel_cache_independent =
+  QCheck2.Test.make ~count:100
+    ~name:"fuel spent is the same with a cold, warm, shed or disabled cache"
+    governed_formula_gen
+    (fun f ->
+       Cache.reset ();
+       let cold = fuel_of f in
+       let warm = fuel_of f in
+       Cache.shed ();
+       let shed = fuel_of f in
+       Cache.set_enabled false;
+       let disabled =
+         Fun.protect ~finally:(fun () -> Cache.set_enabled true) (fun () ->
+             fuel_of f)
+       in
+       List.for_all (( = ) cold) [ warm; shed; disabled ])
+
+let test_expand_once_per_call () =
+  let formulas =
+    [ parse "G (tpl_e -> F tpl_f)"; parse "G (tpl_e -> F tpl_f)";
+      parse "a U (b && X c)" ]
+  in
+  Fault.install [];
+  Fun.protect ~finally:Fault.clear (fun () ->
+      List.iteri
+        (fun i f ->
+           ignore (Nbw.of_ltl ~budget:(Budget.unlimited ()) f);
+           Alcotest.(check int) "one tableau.expand per call" (i + 1)
+             (Fault.hits Fault.Checkpoint.tableau_expand))
+        formulas)
+
+let test_budgeted_calls_use_templates () =
+  ignore (Nbw.of_ltl (parse "G (tpl_u -> F tpl_v)"));
+  let before = template_hits () in
+  let budget = Budget.create ~fuel:1_000_000 () in
+  let auto = Nbw.of_ltl ~budget (parse "G (tpl_w -> F tpl_x)") in
+  Alcotest.(check bool) "budgeted instance served from the compiled shape"
+    true
+    (template_hits () > before);
+  Alcotest.(check (slist string compare)) "atoms substituted"
+    [ "tpl_w"; "tpl_x" ] auto.Nbw.atoms;
+  Alcotest.(check bool) "the hit still spends fuel" true
+    (Budget.spent budget > 0)
 
 let () =
   Alcotest.run "automata"
@@ -185,5 +252,13 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_template_matches_tableau;
           Alcotest.test_case "sharing" `Quick test_template_sharing;
+        ] );
+      ( "governed",
+        [
+          QCheck_alcotest.to_alcotest prop_fuel_cache_independent;
+          Alcotest.test_case "tableau.expand once per call" `Quick
+            test_expand_once_per_call;
+          Alcotest.test_case "budgeted calls use templates" `Quick
+            test_budgeted_calls_use_templates;
         ] );
     ]

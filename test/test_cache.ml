@@ -117,25 +117,27 @@ let test_verdicts_cache_independent () =
 let test_capacity_table () =
   Alcotest.(check int) "unknown names keep their default" 77
     (Cache.capacity ~name:"no-such-cache" ~default:77);
-  Alcotest.(check bool) "automaton cache is sized well above the seed's 256"
-    true
-    (Cache.capacity ~name:"nbw.of_ltl" ~default:256 >= 16384);
+  Alcotest.(check int) "template cache size comes from the table" 1024
+    (Cache.capacity ~name:"nbw.template" ~default:1);
   (* the live instance must actually carry the table's size *)
-  match stat "nbw.of_ltl" with
+  match stat "nbw.template" with
   | Some s ->
     Alcotest.(check int) "live instance uses the table"
-      (Cache.capacity ~name:"nbw.of_ltl" ~default:256)
+      (Cache.capacity ~name:"nbw.template" ~default:1)
       s.Cache.capacity
   | None ->
-    (* instance not created in this process yet: force it *)
+    (* instance not created in this process yet: force it with a
+       template instance (absence) *)
     ignore
-      (Speccc_automata.Nbw.of_ltl (Speccc_logic.Ltl.prop "capacity_probe"));
-    (match stat "nbw.of_ltl" with
+      (Speccc_automata.Nbw.of_ltl
+         (Speccc_logic.Ltl.Always
+            (Speccc_logic.Ltl.Not (Speccc_logic.Ltl.prop "capacity_probe"))));
+    (match stat "nbw.template" with
      | Some s ->
        Alcotest.(check int) "live instance uses the table"
-         (Cache.capacity ~name:"nbw.of_ltl" ~default:256)
+         (Cache.capacity ~name:"nbw.template" ~default:1)
          s.Cache.capacity
-     | None -> Alcotest.fail "nbw.of_ltl cache not registered")
+     | None -> Alcotest.fail "nbw.template cache not registered")
 
 let () =
   Alcotest.run "cache"

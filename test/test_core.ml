@@ -286,6 +286,24 @@ let test_localize_keeps_assumptions () =
     Alcotest.(check (option int)) "refine agrees" (Some 2)
       (Option.map (fun l -> l.Localize.culprit) suggestion.Refine.localization)
 
+let test_localize_keeps_partition () =
+  (* Checked alone, R2 = G !start_pump would re-derive start_pump as an
+     input and be unrealizable by itself; under the document's
+     partition start_pump is an output, so R2 conflicts with R1. *)
+  let document =
+    Document.parse
+      "R1: If the start button is pressed, the pump is started.\n\
+       R2: The pump is not started.\n"
+  in
+  let outcome = Pipeline.run_document ~options:explicit_options document in
+  Alcotest.(check bool) "inconsistent" false
+    (is_consistent outcome.Pipeline.report);
+  match Pipeline.localize ~options:explicit_options outcome with
+  | None -> Alcotest.fail "no localization"
+  | Some result ->
+    Alcotest.(check int) "culprit R2" 1 result.Localize.culprit;
+    Alcotest.(check (list int)) "partner R1" [ 0 ] result.Localize.partners
+
 let test_assumption_detection () =
   let document =
     Document.parse
@@ -513,6 +531,8 @@ let () =
           Alcotest.test_case "no cross-run pollution without memo" `Quick
             test_localize_no_cross_run_pollution;
           Alcotest.test_case "memo prune" `Quick test_localize_memo_prune;
+          Alcotest.test_case "document partition" `Quick
+            test_localize_keeps_partition;
         ] );
       ( "refine",
         [

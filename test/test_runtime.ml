@@ -133,9 +133,20 @@ let test_fault_counts_and_fires () =
         | Error (Runtime.Engine_failure ("sat.solve", "boom")) -> ()
         | Ok _ | Error _ -> Alcotest.fail "second solve must fail");
        Alcotest.(check int) "hits counted" 2 (Fault.hits Fault.Checkpoint.sat_solve));
-  Alcotest.(check bool) "cleared" false (Fault.active ())
+  (* clearing disarms: a trigger due on the very next hit stays silent *)
+  Fault.install
+    [ { Fault.checkpoint = Fault.Checkpoint.sat_solve; after = 0;
+        action = Fault.Fail "still armed" } ];
+  Fault.clear ();
+  (match
+     Runtime.guard ~stage:"sat" (fun () ->
+         Fault.hit Fault.Checkpoint.sat_solve)
+   with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail ("cleared plan fired: " ^ Runtime.to_string e));
+  Alcotest.(check int) "cleared" 0 (Fault.hits Fault.Checkpoint.sat_solve)
 
-let test_budgeted_tableau_is_interruptible () =
+let budgeted_tableau_exhausts () =
   let budget = Budget.create ~fuel:3 () in
   match
     Runtime.guard ~stage:"tableau" (fun () ->
@@ -144,6 +155,16 @@ let test_budgeted_tableau_is_interruptible () =
   | Error (Runtime.Fuel_exhausted "tableau") -> ()
   | Ok _ -> Alcotest.fail "3 steps cannot build this tableau"
   | Error e -> Alcotest.fail (Runtime.to_string e)
+
+let test_budgeted_tableau_is_interruptible () =
+  Speccc_cache.Cache.reset ();
+  budgeted_tableau_exhausts ()
+
+(* A cached automaton charges the fuel its tableau cost, so the same
+   budget exhausts when the shape is already compiled. *)
+let test_budgeted_tableau_warm_cache () =
+  ignore (Speccc_automata.Nbw.of_ltl (parse "G (a -> F b)"));
+  budgeted_tableau_exhausts ()
 
 let test_cancellation_reason () =
   let token = Cancellation.create () in
@@ -465,6 +486,8 @@ let () =
             test_fault_counts_and_fires;
           Alcotest.test_case "budgeted tableau" `Quick
             test_budgeted_tableau_is_interruptible;
+          Alcotest.test_case "budgeted tableau, warm cache" `Quick
+            test_budgeted_tableau_warm_cache;
           Alcotest.test_case "exact counts across domains" `Quick
             test_fault_counts_across_domains;
         ] );

@@ -135,6 +135,30 @@ let test_assumptions_take_the_stock_path () =
         ~text:"If the request is lost, the grant is enabled.");
   ignore (check_against_cold session)
 
+(* Stage 3 checks every subset with the document's assumptions as
+   antecedent, so an inserted assumption voids the memoized subset
+   verdicts: {R1, R2} was inconsistent before, and is consistent once
+   the start button is assumed never pressed. *)
+let test_new_assumption_clears_the_memo () =
+  let doc =
+    Document.parse
+      "R1: If the start button is pressed, the pump is started.\n\
+       R2: The pump is not started.\n\
+       R3: The alarm is triggered.\n\
+       R4: The alarm is not triggered.\n"
+  in
+  let session = Watch.create ~options:explicit_options doc in
+  let before = check_against_cold session in
+  Alcotest.(check (option string)) "R2 conflicts with R1" (Some "R2")
+    before.Watch.culprit_id;
+  ok (Watch.insert session ~id:"Assume-1"
+        ~text:"The start button is not pressed.");
+  let after = check_against_cold session in
+  Alcotest.(check (option string)) "R4 conflicts with R3" (Some "R4")
+    after.Watch.culprit_id;
+  Alcotest.(check bool) "memo entries dropped" true
+    (after.Watch.reuse.Watch.invalidated > 0)
+
 let test_governed_sessions_bypass_the_caches () =
   let options = { explicit_options with Pipeline.fuel = Some 2_000_000 } in
   let session = Watch.create ~options (base_doc ()) in
@@ -337,6 +361,8 @@ let () =
             test_edit_then_revert_is_noop;
           Alcotest.test_case "assumptions take the stock path" `Quick
             test_assumptions_take_the_stock_path;
+          Alcotest.test_case "new assumption clears the memo" `Quick
+            test_new_assumption_clears_the_memo;
           Alcotest.test_case "governed sessions bypass the caches" `Quick
             test_governed_sessions_bypass_the_caches;
           Alcotest.test_case "recover names surviving requirements" `Quick
